@@ -12,11 +12,8 @@ Measures, on a benchmarks x machines grid:
    plans reset beforehand), i.e. what a first ``simulate()`` costs,
 4. ``warm``    — memoized replay in the steady state: a second
    ``ReplayCore.run()`` on already-populated memo tables, i.e. what
-   every later replay of the same trace costs (under the NumPy backend
-   this is the vectorized block-replay kernel),
-5. ``vectorized`` (NumPy backend only) — the raw structure-of-arrays
-   kernel rerun on resolved cores, without the ``run()`` dispatch,
-6. ``warm_persistent`` — a fresh ``ReplayCore`` per cell per pass that
+   every later replay of the same trace costs,
+5. ``warm_persistent`` — a fresh ``ReplayCore`` per cell per pass that
    adopts its memo tables from the persistent on-disk store
    (pickle load + validation + adoption + replay): what a brand-new
    process pays when the cache directory is already warm.
@@ -25,10 +22,10 @@ Each mode reports dynamic instructions per second; the headline number
 is ``speedup.warm_vs_direct`` — the steady-state grid speedup of the
 memoized path over the per-instruction path (``warm`` is also the
 mode the regression gate watches).  With ``--check`` the memoized,
-steady-state/vectorized, and persistent-memo-adopted grids are all
-verified bit-identical (minor cycles and full stall breakdowns)
-against the direct path before timing.  The document also carries a
-per-benchmark warm-throughput breakdown and the active replay backend.
+steady-state, and persistent-memo-adopted grids are all verified
+bit-identical (minor cycles and full stall breakdowns) against the
+direct path before timing.  The document also carries a per-benchmark
+warm-throughput breakdown and the replay backend name.
 
 Results go to ``BENCH_sim.json`` (see ``--output``).  CI runs a
 reduced grid and archives the JSON as an artifact.
@@ -101,7 +98,6 @@ def main(argv=None) -> int:
     from repro.machine.presets import resolve
     from repro.opt.driver import compile_source
     from repro.sim import interp
-    from repro.sim import replay as replay_mod
     from repro.sim.memo import MemoStore, clear_registry, replay_with_memo
     from repro.sim.replay import BACKEND, ReplayCore
     from repro.sim.timing import simulate
@@ -135,8 +131,7 @@ def main(argv=None) -> int:
                     ref = simulate(trace, machine, observe=True,
                                    memoize=False)
                     memo = simulate(trace, machine, observe=True)
-                    # Steady-state rerun: the vectorized kernel under
-                    # the NumPy backend, the memo-table loop otherwise.
+                    # Steady-state rerun on populated memo tables.
                     core = ReplayCore(trace, machine, observe=True)
                     core.run()
                     steady = core.run()
@@ -194,10 +189,8 @@ def main(argv=None) -> int:
     ]
     for _, machine_cores in cores:
         for core in machine_cores:
-            # Twice: the first run resolves, the second builds (and
-            # caches) the vectorized view, so warm passes measure the
-            # steady state even with --repeat 1.
-            core.run()
+            # The first run populates the memo tables, so warm passes
+            # measure the steady state even with --repeat 1.
             core.run()
 
     def warm_pass() -> float:
@@ -226,35 +219,6 @@ def main(argv=None) -> int:
             "warm_instr_per_sec": round(instructions / seconds),
         }
 
-    # --- raw vectorized kernel (NumPy backend only): resolved-core
-    # rerun without the run() dispatch, i.e. the kernel's ceiling
-    vectorized_seconds = None
-    if BACKEND == "numpy":
-        kernels = []
-        for _, machine_cores in cores:
-            if kernels is None:
-                break
-            for core in machine_cores:
-                pv = core._plan_vec()
-                cv = core._vec
-                if cv is None and core._resolved is not None:
-                    cv = replay_mod._replay_vec.build_core_vec(core, pv)
-                    core._vec = cv
-                if pv is None or cv is None or cv is False:
-                    kernels = None
-                    break
-                kernels.append((core, pv, cv))
-        if kernels:
-            run_vectorized = replay_mod._replay_vec.run_vectorized
-
-            def vectorized_pass() -> float:
-                start = time.perf_counter()
-                for core, pv, cv in kernels:
-                    run_vectorized(core, pv, cv)
-                return time.perf_counter() - start
-
-            vectorized_seconds = _best(vectorized_pass, args.repeat)
-
     # --- persistent-memo adoption: fresh core per cell per pass, memo
     # tables pickled from disk (what a warm-cache cold process pays)
     with tempfile.TemporaryDirectory() as memo_root:
@@ -280,8 +244,6 @@ def main(argv=None) -> int:
         "warm": (warm_seconds, grid_instr),
         "warm_persistent": (warm_persistent_seconds, grid_instr),
     }
-    if vectorized_seconds is not None:
-        modes["vectorized"] = (vectorized_seconds, grid_instr)
     for label, (seconds, instructions) in modes.items():
         print(f"{label:7s} {seconds:7.3f}s  "
               f"{instructions / seconds / 1e6:8.2f} M instr/s")

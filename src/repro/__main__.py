@@ -986,15 +986,6 @@ def _render_metrics_summary(events: list[dict]) -> str:
             persisted = counters.get("replay.memo_persisted_hits", 0)
             if persisted:
                 lines[-1] += f", {persisted:.0f} hits from persisted tables"
-        blocks = counters.get("replay.blocks", 0)
-        vec = counters.get("replay.vectorized_blocks", 0)
-        fallback = counters.get("replay.scalar_fallback_blocks", 0)
-        if vec or fallback:
-            lines.append(
-                f"vectorized replay: {vec:.0f}/{blocks:.0f} blocks "
-                f"({rate(vec, blocks)}), "
-                f"{fallback:.0f} scalar-fallback blocks"
-            )
     engine = next((e for e in reversed(events)
                    if e.get("event") == "engine"), None)
     if engine is not None and engine.get("replay_backend"):

@@ -123,8 +123,7 @@ class EngineReport:
     #: dynamic instructions advanced via memo hits vs replayed directly
     memo_instructions: int = 0
     direct_instructions: int = 0
-    #: block events replayed by the vectorized kernel / forced back to
-    #: the scalar engine after a failed verification (see
+    #: always 0, kept for ledger v3 and report readers (see
     #: :class:`repro.sim.replay.ReplayStats`)
     vectorized_blocks: int = 0
     scalar_fallback_blocks: int = 0

@@ -113,7 +113,8 @@ _NUMERIC_FIELDS: dict[str, tuple[tuple[type, ...], bool]] = {
     "memo_fallbacks": ((int,), False),
     "memo_instructions": ((int,), False),
     "direct_instructions": ((int,), False),
-    # vectorized-replay roll-ups (engine events and replay payloads)
+    # replay roll-ups (engine events and replay payloads); the two
+    # block counters are always 0, kept for older reports and ledger v3
     "vectorized_blocks": ((int,), False),
     "scalar_fallback_blocks": ((int,), False),
     "memo_persisted_hits": ((int,), False),
@@ -150,8 +151,9 @@ _NUMERIC_FIELDS: dict[str, tuple[tuple[type, ...], bool]] = {
 _REPLAY_FIELDS = ("blocks", "memo_hits", "memo_misses", "fallbacks",
                   "memo_instructions", "direct_instructions")
 
-#: vectorized-replay payload counters: optional (absent in pre-kernel
-#: reports) but non-negative ints when present.
+#: later replay payload counters: optional (absent in older reports) but
+#: non-negative ints when present.  The two block counters are always 0
+#: in new reports.
 _REPLAY_VEC_FIELDS = ("vectorized_blocks", "scalar_fallback_blocks",
                       "memo_persisted_hits")
 
@@ -189,9 +191,9 @@ def check_replay(replay: object, record: dict) -> list[str]:
                 f"replay conservation violated: memoized+direct == "
                 f"{total}, instructions == {instructions}"
             )
-    # Vectorized-kernel conservation: every block is replayed by at
-    # most one of the vectorized kernel / the scalar fallback pass, and
-    # a persisted memo hit is in particular a memo hit.
+    # Conservation: a block event counts toward at most one of the two
+    # block counters, and a persisted memo hit is in particular a memo
+    # hit.
     vec = replay.get("vectorized_blocks", 0)
     fallback = replay.get("scalar_fallback_blocks", 0)
     if vec + fallback > replay["blocks"]:

@@ -1,8 +1,8 @@
 """Persistent replay-memo store: warm-start block memo tables.
 
 A :class:`repro.sim.replay.ReplayCore` learns its per-block memo tables
-from scratch in every process — today that means every engine worker
-and every fresh run re-pays the resolve cost for traces it has replayed
+from scratch in every process — without a store, every engine worker
+and every fresh run re-pays the memo misses for traces it has replayed
 many times before.  This module persists the learned state
 (:meth:`~repro.sim.replay.ReplayCore.export_memo` payloads) into the
 content-addressed cache directory alongside the trace-v2 entries, so
@@ -11,9 +11,8 @@ cold processes start warm.
 Keying
 ------
 A payload is valid only for one exact replay context, so the key is a
-SHA-256 over the memo format tag, the package version, the replay
-backend (``repro.sim.replay.BACKEND`` — the two backends intern the
-aliasing key differently), the trace's timing-semantics fingerprint
+SHA-256 over the memo format tag, the package version, the trace's
+timing-semantics fingerprint
 (:meth:`repro.sim.trace.Trace.fingerprint`), the machine's
 :meth:`~repro.machine.config.MachineConfig.fingerprint`, and the replay
 mode (``observe``/``want_times`` — memo entries store mode-dependent
@@ -24,13 +23,10 @@ Hygiene
 Entries live under ``<cache-root>/memo/<key[:2]>/<key>.pkl``, written
 atomically (temp file + fsync + ``os.replace``) so concurrent workers
 can share a directory.  Each payload carries its own format tag; a
-stale or corrupt entry — unreadable pickle, wrong tag/backend/mode, or
-a structure the core's :meth:`~repro.sim.replay.ReplayCore.adopt_memo`
+stale or corrupt entry — unreadable pickle, wrong tag or mode, or a
+structure the core's :meth:`~repro.sim.replay.ReplayCore.adopt_memo`
 validation rejects — is *dropped* and the replay starts cold, exactly
-mirroring the trace-cache recovery path.  Value-level corruption that
-a structural walk cannot see is caught by the vectorized kernel's
-per-run verification, which can only ever cost a scalar re-resolve,
-never a wrong result.
+mirroring the trace-cache recovery path.
 
 Counters flow to :mod:`repro.obs.metrics` under ``cache.memo_*`` with
 the same conservation law as the trace cache
@@ -50,7 +46,7 @@ from dataclasses import dataclass
 
 from .. import __version__
 from ..machine.config import MachineConfig
-from .replay import BACKEND, MEMO_PAYLOAD_FORMAT, ReplayCore, ReplayOutcome
+from .replay import MEMO_PAYLOAD_FORMAT, ReplayCore, ReplayOutcome
 from .trace import Trace
 
 
@@ -102,7 +98,6 @@ def memo_key(trace: Trace, config: MachineConfig, *,
         [
             MEMO_PAYLOAD_FORMAT,
             __version__,
-            BACKEND,
             trace.fingerprint(),
             repr(config.fingerprint()),
             bool(observe),
@@ -282,12 +277,7 @@ def replay_with_memo(
             _REGISTRY.pop(key, None)
         payload = None
     outcome = core.run()
-    dirty = (
-        payload is None
-        or outcome.stats.memo_misses > 0
-        or core._resolved is not payload.get("resolved")
-    )
-    if dirty:
+    if payload is None or outcome.stats.memo_misses > 0:
         payload = core.export_memo()
         store.store(key, payload)
     _registry_put(key, payload)

@@ -58,9 +58,8 @@ repeat is blacklisted and replayed directly from then on.
 
 from __future__ import annotations
 
-import os
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import itemgetter
 
 from ..isa.opcodes import InstrClass
@@ -69,31 +68,14 @@ from ..machine.config import MachineConfig
 from ..obs.stalls import StallBreakdown
 from .trace import Trace
 
-# Optional NumPy backend: the vectorized kernel in
-# :mod:`repro.sim.replay_vec` replays a resolved block schedule with
-# array arithmetic.  The pure-stdlib scalar path below is always
-# present, produces bit-identical results, and is auto-selected when
-# NumPy is absent (or explicitly disabled via ``REPRO_NO_NUMPY=1`` —
-# used by CI to exercise the fallback).
-try:
-    if os.environ.get("REPRO_NO_NUMPY"):
-        raise ImportError("NumPy disabled via REPRO_NO_NUMPY")
-    import numpy as _np  # noqa: F401  (presence check)
-    from . import replay_vec as _replay_vec
-except ImportError:  # pragma: no cover - depends on environment
-    _np = None
-    _replay_vec = None
-
-#: Active replay backend: ``"numpy"`` (vectorized kernel available) or
-#: ``"scalar"`` (pure stdlib).  Surfaced in engine report events and
-#: ``repro trace`` output.  Also tags persisted memo payloads: the two
-#: backends intern the store→load aliasing key differently, so memo
-#: files never cross backends.
-BACKEND = "numpy" if _np is not None else "scalar"
+#: Name of the replay engine, surfaced in engine report events and
+#: ``repro trace`` output.  There is one engine, the scalar memoizing
+#: :class:`ReplayCore`; the name stays for report and ledger readers.
+BACKEND = "scalar"
 
 #: Format tag of persisted replay-memo payloads (see
 #: :meth:`ReplayCore.export_memo` and :mod:`repro.sim.memo`).
-MEMO_PAYLOAD_FORMAT = "replay-memo-v1"
+MEMO_PAYLOAD_FORMAT = "replay-memo-v2"
 
 
 class _UnitState:
@@ -197,9 +179,9 @@ class _Block:
     """One replay unit: static segments replayed (or memoized) as a whole."""
 
     __slots__ = ("segments", "n_instrs", "n_mem", "count", "eligible",
-                 "has_dataflow", "live_ins", "defs", "load_sel",
-                 "store_sel", "is_load_pos", "needs_mem_key", "load_get",
-                 "store_get", "mem_key_cache")
+                 "live_ins", "defs", "load_sel", "store_sel",
+                 "is_load_pos", "needs_mem_key", "load_get", "store_get",
+                 "mem_key_cache")
 
     def __init__(self, segments: tuple[tuple[int, int], ...],
                  n_instrs: int, n_mem: int) -> None:
@@ -208,7 +190,6 @@ class _Block:
         self.n_mem = n_mem
         self.count = 0          # occurrences in the schedule
         self.eligible = False   # worth memoizing (repeats)
-        self.has_dataflow = False  # live-in/def/memory summaries built
         self.live_ins: tuple[int, ...] = ()
         self.defs: tuple[int, ...] = ()
         self.load_sel: tuple[int, ...] = ()    # chunk positions of loads
@@ -233,9 +214,6 @@ class _Plan:
 
     blocks: list[_Block]
     schedule: list[int]
-    #: Lazily built SoA view (:class:`repro.sim.replay_vec.PlanVec`);
-    #: machine-independent, shared by every core replaying this trace.
-    vec: object = None
 
 
 def _selector(positions):
@@ -342,9 +320,7 @@ def build_plan(
         block.count = count
         block.eligible = count >= 2
 
-    # Dataflow summaries, needed eagerly only for memoizable blocks; the
-    # vectorized kernel fills them in lazily for the rest (see
-    # :func:`_block_dataflow`).
+    # Dataflow summaries: only memoizable blocks build keys and entries.
     for block in blocks:
         if block.eligible:
             _block_dataflow(block, entries)
@@ -353,15 +329,10 @@ def build_plan(
 
 
 def _block_dataflow(block: _Block, entries: list) -> None:
-    """Compute a block's live-in/def/memory summaries (idempotent).
+    """Compute a memoizable block's live-in/def/memory summaries.
 
     ``entries`` is the static skeleton from :func:`_static_skeleton`.
-    Eager for memoizable blocks (the scalar key path needs them on every
-    event); lazy for direct-replay blocks, which only the vectorized
-    kernel and the resolve capture ever summarize.
     """
-    if block.has_dataflow:
-        return
     live: list[int] = []
     live_set: set[int] = set()
     defs: list[int] = []
@@ -398,7 +369,6 @@ def _block_dataflow(block: _Block, entries: list) -> None:
         block.load_get = _selector(load_sel)
         block.store_get = _selector(store_sel)
         block.mem_key_cache = {}
-    block.has_dataflow = True
 
 
 def plan_for(trace: Trace) -> _Plan:
@@ -424,11 +394,9 @@ class ReplayStats:
     fallbacks: int = 0           # blocks forced direct by a pending store
     memo_instructions: int = 0   # instructions advanced via memo hits
     direct_instructions: int = 0  # instructions replayed one at a time
-    #: Block events replayed by the vectorized kernel (0 on scalar runs;
-    #: equals ``blocks`` when a vectorized replay verified end to end).
+    #: Always 0: kept so run ledgers (schema v3), report validators and
+    #: external readers of these counters see the columns they expect.
     vectorized_blocks: int = 0
-    #: Block events replayed by the scalar engine after a vectorized
-    #: verification failed mid-grid (the whole run falls back).
     scalar_fallback_blocks: int = 0
     #: Memo hits served from entries adopted out of a persisted memo
     #: payload (disk or in-process registry) rather than learned live.
@@ -461,9 +429,6 @@ class ReplayStats:
         metrics.incr("replay.memo_instructions", self.memo_instructions)
         metrics.incr("replay.direct_instructions",
                      self.direct_instructions)
-        metrics.incr("replay.vectorized_blocks", self.vectorized_blocks)
-        metrics.incr("replay.scalar_fallback_blocks",
-                     self.scalar_fallback_blocks)
         metrics.incr("replay.memo_persisted_hits",
                      self.memo_persisted_hits)
 
@@ -492,8 +457,7 @@ class ReplayCore:
                  "observe", "want_times", "_klasses", "_width",
                  "_stall_on_branches", "_has_units", "_tables",
                  "_block_unit_cache", "_hit_counts", "_miss_counts",
-                 "_blacklisted", "_resolved", "_vec", "_adopted_keys",
-                 "_unit_states")
+                 "_blacklisted", "_adopted_keys", "_unit_states")
 
     def __init__(self, trace: Trace, config: MachineConfig, *,
                  observe: bool = False, want_times: bool = False) -> None:
@@ -530,30 +494,10 @@ class ReplayCore:
         self._hit_counts = [0] * n_blocks
         self._miss_counts = [0] * n_blocks
         self._blacklisted = bytearray(n_blocks)
-        #: Per-event records from the last scalar *resolving* run —
-        #: ``(bid, key, entry, kind)`` with ``kind`` 0 for table-backed
-        #: events and 1 for direct/fallback replays; the input to the
-        #: vectorized kernel and the persisted memo payload.
-        self._resolved: list | None = None
-        #: ``None`` (not built), ``False`` (records inexpressible — stay
-        #: scalar), or the per-core arrays for the vectorized kernel.
-        self._vec: object = None
         #: Per-block frozensets of memo keys adopted from a persisted
         #: payload (``None`` until :meth:`adopt_memo`), for the
         #: ``memo_persisted_hits`` counter.
         self._adopted_keys: list | None = None
-
-    def _plan_vec(self):
-        """The (lazily built) SoA view of the plan, shared per trace."""
-        pv = self.plan.vec
-        if pv is None:
-            entries, _ = _static_skeleton(self.trace)
-            pv = _replay_vec.build_plan_vec(
-                self.trace, self.plan, entries,
-                lambda block: _block_dataflow(block, entries),
-            )
-            self.plan.vec = pv
-        return pv
 
     def export_memo(self) -> dict:
         """Snapshot the learned memo state as a persistable payload.
@@ -565,36 +509,28 @@ class ReplayCore:
         """
         return {
             "format": MEMO_PAYLOAD_FORMAT,
-            "key_format": BACKEND,
             "mode": (self.observe, self.want_times),
             "tables": self._tables,
             "blacklisted": bytes(self._blacklisted),
-            "resolved": self._resolved,
         }
 
     def adopt_memo(self, payload) -> bool:
         """Adopt a persisted memo payload; ``False`` leaves state untouched.
 
         Structural validation mirrors the trace cache: a payload with
-        the wrong format tag, backend key format, replay mode, or block
-        shape is reported stale/corrupt rather than trusted — the
-        caller drops the cache entry and the core starts cold.  Value
-        errors a structural walk cannot see are caught later by the
-        vectorized kernel's per-run verification (and can only ever
-        cost a scalar re-resolve, never a wrong result).
+        the wrong format tag, replay mode, or block shape is reported
+        stale/corrupt rather than trusted — the caller drops the cache
+        entry and the core starts cold.
         """
         blocks = self.plan.blocks
         n_blocks = len(blocks)
         try:
             if payload.get("format") != MEMO_PAYLOAD_FORMAT:
                 return False
-            if payload.get("key_format") != BACKEND:
-                return False
             if payload.get("mode") != (self.observe, self.want_times):
                 return False
             tables = payload["tables"]
             black = payload["blacklisted"]
-            resolved = payload["resolved"]
             if not isinstance(tables, list) or len(tables) != n_blocks:
                 return False
             if not isinstance(black, (bytes, bytearray)) \
@@ -611,19 +547,10 @@ class ReplayCore:
                         return False
                     if not isinstance(entry, tuple) or len(entry) != 9:
                         return False
-            if resolved is not None:
-                if not isinstance(resolved, list) \
-                        or len(resolved) != len(self.plan.schedule):
-                    return False
-                for rec in resolved:
-                    if not isinstance(rec, tuple) or len(rec) != 4:
-                        return False
         except (AttributeError, TypeError, KeyError):
             return False
         self._tables = tables
         self._blacklisted = bytearray(black)
-        self._resolved = resolved
-        self._vec = None
         self._adopted_keys = [
             frozenset(table) if table else None for table in tables
         ]
@@ -765,38 +692,10 @@ class ReplayCore:
     def run(self, *, memoize: bool = True) -> ReplayOutcome:
         """Replay the whole trace; ``memoize=False`` forces the direct
         per-instruction path for every block (the reference behavior the
-        property tests compare against).
-
-        Under the NumPy backend the first memoized run *resolves*
-        (scalar replay capturing per-event records); later runs go
-        through the vectorized kernel, which verifies every recorded
-        memo key against the dependence chains and falls back to a
-        scalar re-resolve on any mismatch — results are bit-identical
-        to the scalar path by construction.
-        """
+        property tests compare against)."""
         if not memoize:
             return self._run_plain()
-        if _np is not None:
-            pv = self._plan_vec()
-            vec = self._vec
-            if vec is None and self._resolved is not None:
-                vec = _replay_vec.build_core_vec(self, pv)
-                if vec is None:
-                    vec = False
-                self._vec = vec
-            if vec is not None and vec is not False:
-                out = _replay_vec.run_vectorized(self, pv, vec)
-                if out is not None:
-                    return out
-                # A recorded key no longer matches its chain (e.g. a
-                # stale adopted memo): re-resolve on the scalar path.
-                self._vec = None
-                self._resolved = None
-                out = self._run_memoized(pv, resolve=True)
-                out.stats.scalar_fallback_blocks = out.stats.blocks
-                return out
-            return self._run_memoized(pv, resolve=vec is not False)
-        return self._run_memoized(None, resolve=False)
+        return self._run_memoized()
 
     def _reset_units(self) -> None:
         """Zero every functional unit's copy free-times (run start)."""
@@ -829,17 +728,8 @@ class ReplayCore:
             stalls=breakdown, times=times, stats=stats,
         )
 
-    def _run_memoized(self, pv, *, resolve: bool) -> ReplayOutcome:
-        """The scalar memoizing replay loop.
-
-        ``pv`` is the plan's SoA view (NumPy backend) or ``None``; with
-        it, the store→load aliasing key is a precomputed plan-level
-        alias id instead of a per-chunk tuple.  With ``resolve=True``
-        every event additionally records ``(bid, key, entry, kind)`` —
-        direct and fallback replays synthesize an equivalent key/entry
-        pair from their observed entry state and effects — feeding the
-        vectorized kernel and the persisted memo payload.
-        """
+    def _run_memoized(self) -> ReplayOutcome:
+        """The memoizing replay loop."""
         self._reset_units()
         trace = self.trace
         plan = self.plan
@@ -859,10 +749,6 @@ class ReplayCore:
         last_finish = 0
         m = 0
 
-        alias_ids = pv.alias_ids if pv is not None else None
-        resolved: list | None = [] if resolve else None
-        rec_append = resolved.append if resolved is not None else None
-        skel_entries = _static_skeleton(trace)[0] if resolve else None
         adopted = self._adopted_keys
         persisted = 0
         tables = self._tables
@@ -883,7 +769,7 @@ class ReplayCore:
         #: of ``mem_ready``.
         pending: list[tuple[int, int]] = []
 
-        for p, bid in enumerate(plan.schedule):
+        for bid in plan.schedule:
             block = blocks[bid]
             table = tables[bid]
             if table is not None:
@@ -924,41 +810,35 @@ class ReplayCore:
                     if reusable and block.needs_mem_key:
                         # Per load: latest preceding in-block store to
                         # the same word (-1 for none) — the only thing
-                        # timing can see of the addresses.  Under the
-                        # NumPy backend the whole address stream was
-                        # analyzed up front and the structure interned
-                        # to a plan-level alias id per event; otherwise
-                        # the structure depends only on the chunk, so
+                        # timing can see of the addresses.  The
+                        # structure depends only on the chunk, so
                         # repeated chunks (and the whole machine grid
                         # after the first machine) hit the plan-level
                         # cache; on a miss the common no-alias case is
                         # decided by one C-level disjointness test.
-                        if alias_ids is not None:
-                            mem_key = alias_ids[p]
-                        else:
-                            if chunk is None:
-                                chunk = mem_addrs[m:m + n_mem]
-                            ckey = tuple(chunk)
-                            mkc = block.mem_key_cache
-                            mem_key = mkc.get(ckey)
-                            if mem_key is None:
-                                if set(block.store_get(ckey)).isdisjoint(
-                                        block.load_get(ckey)):
-                                    mem_key = ()
-                                else:
-                                    last_store: dict[int, int] = {}
-                                    ls_get = last_store.get
-                                    is_load_pos = block.is_load_pos
-                                    mk = []
-                                    mk_append = mk.append
-                                    for j, a in enumerate(ckey):
-                                        if is_load_pos[j]:
-                                            mk_append(ls_get(a, -1))
-                                        else:
-                                            last_store[a] = j
-                                    mem_key = tuple(mk)
-                                if len(mkc) < _MAX_KEYS:
-                                    mkc[ckey] = mem_key
+                        if chunk is None:
+                            chunk = mem_addrs[m:m + n_mem]
+                        ckey = tuple(chunk)
+                        mkc = block.mem_key_cache
+                        mem_key = mkc.get(ckey)
+                        if mem_key is None:
+                            if set(block.store_get(ckey)).isdisjoint(
+                                    block.load_get(ckey)):
+                                mem_key = ()
+                            else:
+                                last_store: dict[int, int] = {}
+                                ls_get = last_store.get
+                                is_load_pos = block.is_load_pos
+                                mk = []
+                                mk_append = mk.append
+                                for j, a in enumerate(ckey):
+                                    if is_load_pos[j]:
+                                        mk_append(ls_get(a, -1))
+                                    else:
+                                        last_store[a] = j
+                                mem_key = tuple(mk)
+                            if len(mkc) < _MAX_KEYS:
+                                mkc[ckey] = mem_key
                 if reusable:
                     regs_key = tuple([
                         d if (d := reg_ready[r] - T0) > 0 else 0
@@ -1024,8 +904,6 @@ class ReplayCore:
                             akeys = adopted[bid]
                             if akeys is not None and key in akeys:
                                 persisted += 1
-                        if rec_append is not None:
-                            rec_append((bid, key, entry, 0))
                         continue
                     # Miss: replay directly, capturing the block's effect.
                     if observe:
@@ -1098,8 +976,6 @@ class ReplayCore:
                         if tcap is not None else None,
                     )
                     table[key] = entry
-                    if rec_append is not None:
-                        rec_append((bid, key, entry, 0))
                     if cap is not None:
                         for kl, ci, cyc in cap:
                             charge(kl, ci, cyc)
@@ -1116,100 +992,14 @@ class ReplayCore:
                     continue
                 stats.fallbacks += 1
             # Direct replay: ineligible, blacklisted, or fallback.
-            if rec_append is None:
-                m, cur_cycle, cur_count, branch_floor, local_fin = \
-                    self._replay_segments(
-                        block.segments, m, reg_ready, mem_ready,
-                        cur_cycle, cur_count, branch_floor, charge,
-                        times, pending,
-                    )
-                if local_fin > last_finish:
-                    last_finish = local_fin
-                continue
-            # Resolving: synthesize the equivalent key/entry pair for
-            # this direct replay so the vectorized kernel can verify
-            # and advance over it like any memo hit.  The key mirrors
-            # the memoized path exactly, except the external-wait
-            # component is uncapped (nothing is being interned here).
-            T0 = cur_cycle
-            _block_dataflow(block, skel_entries)
-            ext_rec = ()
-            if block.load_sel and pending:
-                live = [e for e in pending if e[0] > T0]
-                if live:
-                    chunkd = mem_addrs[m:m + block.n_mem]
-                    mem_get = mem_ready.get
-                    ext_rec = tuple([
-                        (j, d) for j in block.load_sel
-                        if (d := mem_get(chunkd[j], 0) - T0) > 0
-                    ])
-            regs_key = tuple([
-                d if (d := reg_ready[r] - T0) > 0 else 0
-                for r in block.live_ins
-            ])
-            if has_units:
-                ustates_d = self._block_units(bid)
-                unit_key = tuple([
-                    tuple(sorted([
-                        d if (d := f - T0) > 0 else 0
-                        for f in s.free
-                    ]))
-                    for s in ustates_d
-                ])
-            else:
-                ustates_d = ()
-                unit_key = ()
-            d = branch_floor - T0
-            key = (cur_count, d if d > 0 else 0, regs_key, unit_key,
-                   alias_ids[p] if block.needs_mem_key else (), ext_rec)
-            if observe:
-                cap = []
-                cap_charge = (
-                    lambda kl, ci, cyc, _c=cap:
-                    _c.append((kl, ci, cyc))
-                )
-            else:
-                cap = None
-                cap_charge = None
-            tcap = [] if times is not None else None
-            log_start = len(pending)
             m, cur_cycle, cur_count, branch_floor, local_fin = \
                 self._replay_segments(
                     block.segments, m, reg_ready, mem_ready,
-                    cur_cycle, cur_count, branch_floor, cap_charge,
-                    tcap, pending,
+                    cur_cycle, cur_count, branch_floor, charge,
+                    times, pending,
                 )
             if local_fin > last_finish:
                 last_finish = local_fin
-            d = branch_floor - T0
-            entry = (
-                cur_cycle - T0,
-                cur_count,
-                d if d > 0 else 0,
-                tuple([(r, reg_ready[r] - T0) for r in block.defs]),
-                tuple([
-                    (j, se[0] - T0)
-                    for j, se in zip(block.store_sel,
-                                     pending[log_start:])
-                ]),
-                tuple([
-                    tuple(sorted([
-                        d if (d := f - T0) > 0 else 0
-                        for f in s.free
-                    ]))
-                    for s in ustates_d
-                ]) if ustates_d else (),
-                local_fin - T0,
-                tuple(cap) if cap is not None else None,
-                tuple([t - T0 for t in tcap])
-                if tcap is not None else None,
-            )
-            if cap is not None:
-                for kl, ci, cyc in cap:
-                    charge(kl, ci, cyc)
-            if tcap is not None:
-                times.extend(tcap)
-            rec_append((bid, key, entry, 1))
 
         for bid, before in enumerate(hits_before):
             dh = hit_counts[bid] - before
@@ -1222,9 +1012,6 @@ class ReplayCore:
                 stats.memo_misses += dm
         stats.direct_instructions = trace.n - stats.memo_instructions
         stats.memo_persisted_hits = persisted
-        if resolved is not None:
-            self._resolved = resolved
-            self._vec = None
 
         if breakdown is not None:
             breakdown.issued_cycles = last_finish - cur_cycle

@@ -1,5 +1,9 @@
 """Tests for the CLI (python -m repro) and the compile-pipeline driver."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.__main__ import main as cli_main
@@ -54,6 +58,25 @@ class TestCLI:
         assert cli_main(["exhibit", "fig4-7"]) == 0
         out = capsys.readouterr().out
         assert "1.667" in out
+
+
+class TestStdlibRuntime:
+    def test_cli_import_leaves_numpy_unloaded(self):
+        """The CLI runs on the standard library alone: importing it must
+        not pull in NumPy (whose import alone costs a large share of
+        process start-up)."""
+        src = os.path.join(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))), "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, repro.__main__; "
+             "print('numpy' in sys.modules)"],
+            capture_output=True, text=True, env=env, check=False,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
 
 class TestReportFormats:
