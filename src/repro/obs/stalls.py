@@ -55,6 +55,18 @@ STALL_CAUSES: tuple[str, ...] = (
 _N_CAUSES = len(STALL_CAUSES)
 _CAUSE_INDEX = {name: i for i, name in enumerate(STALL_CAUSES)}
 
+#: Flat accumulator layout read by :meth:`StallBreakdown.from_flat`: one
+#: row of ``len(STALL_CAUSES)`` cells per instruction class, so a stall
+#: lands in cell ``flat_row(klass) + cause_index``.
+_FLAT_ROW = {klass: i * _N_CAUSES for i, klass in enumerate(InstrClass)}
+#: Length of a flat stall accumulator.
+FLAT_SIZE = len(_FLAT_ROW) * _N_CAUSES
+
+
+def flat_row(klass: InstrClass) -> int:
+    """Offset of ``klass``'s row in a flat stall accumulator."""
+    return _FLAT_ROW[klass]
+
 
 @dataclass(slots=True)
 class StallBreakdown:
@@ -98,6 +110,25 @@ class StallBreakdown:
             per_class = [0] * _N_CAUSES
             self.by_class[klass] = per_class
         per_class[cause_index] += cycles
+
+    @classmethod
+    def from_flat(cls, flat, issued_cycles: int = 0) -> "StallBreakdown":
+        """Build a breakdown from a flat accumulator of ``FLAT_SIZE``
+        cells (see :func:`flat_row`).
+
+        Equal to charging every nonzero cell through :meth:`charge`: a
+        class gets a ``by_class`` row only when one of its cells is
+        nonzero, and the cause totals are the column sums.
+        """
+        totals = [0] * _N_CAUSES
+        by_class: dict[InstrClass, list[int]] = {}
+        for klass, row in _FLAT_ROW.items():
+            cells = flat[row:row + _N_CAUSES]
+            if any(cells):
+                by_class[klass] = list(cells)
+                for i, v in enumerate(cells):
+                    totals[i] += v
+        return cls(*totals, issued_cycles=issued_cycles, by_class=by_class)
 
     def class_totals(self) -> dict[InstrClass, int]:
         """Total stall cycles charged to each instruction class."""

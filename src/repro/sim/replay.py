@@ -65,7 +65,7 @@ from operator import itemgetter
 from ..isa.opcodes import InstrClass
 from ..isa.registers import flat_index
 from ..machine.config import MachineConfig
-from ..obs.stalls import StallBreakdown
+from ..obs.stalls import FLAT_SIZE, StallBreakdown, flat_row
 from .trace import Trace
 
 #: Name of the replay engine, surfaced in engine report events and
@@ -74,8 +74,10 @@ from .trace import Trace
 BACKEND = "scalar"
 
 #: Format tag of persisted replay-memo payloads (see
-#: :meth:`ReplayCore.export_memo` and :mod:`repro.sim.memo`).
-MEMO_PAYLOAD_FORMAT = "replay-memo-v2"
+#: :meth:`ReplayCore.export_memo` and :mod:`repro.sim.memo`).  Since v3,
+#: observe-mode entries store their stall charges as ``(flat_index,
+#: cycles)`` pairs into a :func:`repro.obs.stalls.flat_row` layout.
+MEMO_PAYLOAD_FORMAT = "replay-memo-v3"
 
 
 class _UnitState:
@@ -467,9 +469,14 @@ class ReplayCore:
         self.plan = plan_for(trace)
         self.observe = observe
         self.want_times = want_times
-        self._klasses = (
-            [ins.op.klass for ins in trace.static] if observe else None
-        )
+        #: Per static instruction, its class's row offset in the flat
+        #: stall accumulator (see :func:`repro.obs.stalls.flat_row`).
+        self._klasses: list[int] | None = None
+        if observe:
+            row_of = [flat_row(k) for k in _CLASSES]
+            self._klasses = [
+                row_of[e[2]] for e in _static_skeleton(trace)[0]
+            ]
         self._width = config.issue_width
         self._stall_on_branches = config.branch_policy == "stall"
         self._has_units = bool(config.units)
@@ -577,8 +584,9 @@ class ReplayCore:
         """Direct per-instruction replay of ``segments``.
 
         The one and only copy of the paper's in-order issue model;
-        ``charge`` is ``None`` or a ``(klass, cause_index, cycles)``
-        sink, ``times`` is ``None`` or a list collecting issue times,
+        ``charge`` is ``None`` or a flat stall accumulator of
+        ``FLAT_SIZE`` cells, charged at ``class_row + cause_index``;
+        ``times`` is ``None`` or a list collecting issue times,
         ``store_log`` is ``None`` or a list collecting a
         ``(finish, addr)`` pair per store, in order (used by the memo
         capture and the pending-store fallback check).
@@ -651,23 +659,23 @@ class ReplayCore:
                     if charge is not None:
                         # Attribute the wait [cur_cycle, t) segment by
                         # segment; the marks are non-decreasing.
-                        klass = klasses[si]
+                        row = klasses[si]
                         b = cur_cycle
                         if floor_mark > b:
-                            charge(klass, 0, floor_mark - b)  # control
+                            charge[row] += floor_mark - b      # control
                             b = floor_mark
                         if raw_mark > b:
-                            charge(klass, 1, raw_mark - b)    # raw_dep
+                            charge[row + 1] += raw_mark - b    # raw_dep
                             b = raw_mark
                         if mem_mark > b:
-                            charge(klass, 2, mem_mark - b)    # memory_order
+                            charge[row + 2] += mem_mark - b    # memory_order
                             b = mem_mark
                         if unit_free_at > b:
                             mk = unit_free_at if unit_free_at < t else t
-                            charge(klass, 3, mk - b)          # unit_conflict
+                            charge[row + 3] += mk - b          # unit_conflict
                             b = mk
                         if t > b:
-                            charge(klass, 4, t - b)           # issue_width
+                            charge[row + 4] += t - b           # issue_width
                     cur_cycle = t
                     cur_count = 1
                 else:
@@ -708,9 +716,7 @@ class ReplayCore:
         """The pure per-instruction reference path (no memoization)."""
         self._reset_units()
         trace = self.trace
-        observe = self.observe
-        breakdown = StallBreakdown() if observe else None
-        charge = breakdown.charge if observe else None
+        flat = [0] * FLAT_SIZE if self.observe else None
         times: list[int] | None = [] if self.want_times else None
         stats = ReplayStats(blocks=len(self.plan.schedule))
         reg_ready = [0] * (self.max_reg + 1)
@@ -718,14 +724,13 @@ class ReplayCore:
         m, cur_cycle, cur_count, branch_floor, last_finish = \
             self._replay_segments(
                 trace.runs(), 0, reg_ready, mem_ready, 0, 0, 0,
-                charge, times,
+                flat, times,
             )
         stats.direct_instructions = trace.n
-        if breakdown is not None:
-            breakdown.issued_cycles = last_finish - cur_cycle
         return ReplayOutcome(
             minor_cycles=last_finish, final_issue=cur_cycle,
-            stalls=breakdown, times=times, stats=stats,
+            stalls=_breakdown(flat, {}, last_finish - cur_cycle),
+            times=times, stats=stats,
         )
 
     def _run_memoized(self) -> ReplayOutcome:
@@ -736,8 +741,13 @@ class ReplayCore:
         blocks = plan.blocks
         mem_addrs = trace.mem_addrs
         observe = self.observe
-        breakdown = StallBreakdown() if observe else None
-        charge = breakdown.charge if observe else None
+        #: Flat stall accumulator for misses and direct replay; memo
+        #: hits only count uses of their entry's constant ``charges``
+        #: tuple here (``id -> [charges, uses]``, the tuple kept alive so
+        #: its id stays unique even if a blacklist drops its table),
+        #: folded in once at the end.
+        flat = [0] * FLAT_SIZE if observe else None
+        uses: dict[int, list] = {}
         times: list[int] | None = [] if self.want_times else None
         stats = ReplayStats(blocks=len(plan.schedule))
 
@@ -893,9 +903,12 @@ class ReplayCore:
                         fin = T0 + d_fin
                         if fin > last_finish:
                             last_finish = fin
-                        if charges is not None:
-                            for kl, ci, cyc in charges:
-                                charge(kl, ci, cyc)
+                        if charges:
+                            use = uses.get(id(charges))
+                            if use is None:
+                                uses[id(charges)] = [charges, 1]
+                            else:
+                                use[1] += 1
                         if time_deltas is not None:
                             times.extend([T0 + dv for dv in time_deltas])
                         m += n_mem
@@ -906,15 +919,7 @@ class ReplayCore:
                                 persisted += 1
                         continue
                     # Miss: replay directly, capturing the block's effect.
-                    if observe:
-                        cap: list | None = []
-                        cap_charge = (
-                            lambda kl, ci, cyc, _c=cap:
-                            _c.append((kl, ci, cyc))
-                        )
-                    else:
-                        cap = None
-                        cap_charge = None
+                    cap = [0] * FLAT_SIZE if observe else None
                     tcap: list[int] | None = [] if times is not None \
                         else None
                     log_start = len(pending)
@@ -922,7 +927,7 @@ class ReplayCore:
                         self._replay_segments(
                             block.segments, m, reg_ready, mem_ready,
                             cur_cycle, cur_count, branch_floor,
-                            cap_charge, tcap, pending,
+                            cap, tcap, pending,
                         )
                     if local_fin > last_finish:
                         last_finish = local_fin
@@ -962,6 +967,14 @@ class ReplayCore:
                         ])
                     else:
                         units_out = ()
+                    if cap is not None:
+                        charges = tuple([
+                            (i, c) for i, c in enumerate(cap) if c
+                        ])
+                        for i, c in charges:
+                            flat[i] += c
+                    else:
+                        charges = None
                     d = branch_floor - T0
                     entry = (
                         cur_cycle - T0,
@@ -971,14 +984,11 @@ class ReplayCore:
                         stores_out,
                         units_out,
                         local_fin - T0,
-                        tuple(cap) if cap is not None else None,
+                        charges,
                         tuple([t - T0 for t in tcap])
                         if tcap is not None else None,
                     )
                     table[key] = entry
-                    if cap is not None:
-                        for kl, ci, cyc in cap:
-                            charge(kl, ci, cyc)
                     if tcap is not None:
                         times.extend(tcap)
                     miss_counts[bid] += 1
@@ -995,7 +1005,7 @@ class ReplayCore:
             m, cur_cycle, cur_count, branch_floor, local_fin = \
                 self._replay_segments(
                     block.segments, m, reg_ready, mem_ready,
-                    cur_cycle, cur_count, branch_floor, charge,
+                    cur_cycle, cur_count, branch_floor, flat,
                     times, pending,
                 )
             if local_fin > last_finish:
@@ -1012,13 +1022,24 @@ class ReplayCore:
                 stats.memo_misses += dm
         stats.direct_instructions = trace.n - stats.memo_instructions
         stats.memo_persisted_hits = persisted
-
-        if breakdown is not None:
-            breakdown.issued_cycles = last_finish - cur_cycle
         return ReplayOutcome(
             minor_cycles=last_finish, final_issue=cur_cycle,
-            stalls=breakdown, times=times, stats=stats,
+            stalls=_breakdown(flat, uses, last_finish - cur_cycle),
+            times=times, stats=stats,
         )
+
+
+def _breakdown(flat: list[int] | None, uses: dict,
+               issued_cycles: int) -> StallBreakdown | None:
+    """Fold memo-hit charge uses into ``flat`` (each entry's charges
+    times its use count) and build the run's breakdown; ``None`` when
+    the replay did not observe stalls."""
+    if flat is None:
+        return None
+    for charges, n in uses.values():
+        for i, c in charges:
+            flat[i] += c * n
+    return StallBreakdown.from_flat(flat, issued_cycles)
 
 
 def replay(trace: Trace, config: MachineConfig, *,

@@ -30,6 +30,7 @@ from repro.obs import (
     Recorder,
     StallBreakdown,
 )
+from repro.obs.stalls import FLAT_SIZE, flat_row
 from repro.opt.driver import compile_source
 from repro.opt.options import CompilerOptions, OptLevel
 from repro.sim.timing import simulate
@@ -241,6 +242,46 @@ class TestStallBreakdown:
         s.charge(InstrClass.LOAD, 0, -2)
         assert s.stalled == 0
         assert not s.by_class
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        charges=st.lists(
+            st.tuples(st.sampled_from(list(InstrClass)),
+                      st.integers(0, len(STALL_CAUSES) - 1),
+                      st.integers(-3, 40)),
+            max_size=30,
+        ),
+        issued=st.integers(0, 100),
+    )
+    def test_from_flat_equals_charging(self, charges, issued):
+        """A flat accumulator fed the positive charges builds the same
+        breakdown as ``charge()`` fed all of them (which skips <=0)."""
+        via_charge = StallBreakdown(issued_cycles=issued)
+        flat = [0] * FLAT_SIZE
+        for klass, cause, cycles in charges:
+            via_charge.charge(klass, cause, cycles)
+            if cycles > 0:
+                flat[flat_row(klass) + cause] += cycles
+        built = StallBreakdown.from_flat(flat, issued)
+        assert built == via_charge
+        assert built.as_dict() == via_charge.as_dict()
+        assert built.stalled + built.issued_cycles == built.minor_cycles
+        assert built.minor_cycles == issued + sum(
+            c for _, _, c in charges if c > 0)
+
+    def test_from_flat_leaves_out_all_zero_classes(self):
+        flat = [0] * FLAT_SIZE
+        assert StallBreakdown.from_flat(flat) == StallBreakdown()
+        flat[flat_row(InstrClass.LOAD) + 1] = 3
+        flat[flat_row(InstrClass.FPMUL) + 4] = 2
+        built = StallBreakdown.from_flat(flat, issued_cycles=1)
+        assert set(built.by_class) == {InstrClass.LOAD, InstrClass.FPMUL}
+        assert built.by_class[InstrClass.LOAD] == [0, 3, 0, 0, 0]
+        assert (built.raw_dep, built.issue_width) == (3, 2)
+        assert built.minor_cycles == 6
+        # The rows are copies: later writes to the accumulator do not leak.
+        flat[flat_row(InstrClass.LOAD) + 1] = 99
+        assert built.by_class[InstrClass.LOAD][1] == 3
 
     def test_get_rejects_unknown_cause(self):
         with pytest.raises(KeyError):

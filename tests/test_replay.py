@@ -6,11 +6,17 @@ breakdowns, and per-event issue schedules — on every machine shape
 (ideal wide issue, superpipelined, branch-stall, functional-unit
 conflicts).  Hypothesis drives that over random Tin programs; the rest
 of the file pins the plan builder's invariants, the memo statistics
-conservation law, and the blacklist fall-back.
+conservation law, and the blacklist fall-back.  Golden stall digests,
+recorded before the flat-accumulator rewrite, check observed replay
+against figures the current code did not produce, and a guard pins that
+observed replay never charges stalls one ``StallBreakdown.charge`` call
+at a time.
 """
 
 from __future__ import annotations
 
+import json
+import os
 from dataclasses import replace
 
 import pytest
@@ -20,13 +26,17 @@ from repro.benchmarks import suite
 from repro.machine.presets import (
     ideal_superscalar,
     paper_machines,
+    resolve,
     superscalar_with_class_conflicts,
 )
+from repro.obs.stalls import StallBreakdown
 from repro.opt.driver import compile_source
 from repro.sim import replay as replay_mod
 from repro.sim.interp import run as interp_run
 from repro.sim.replay import ReplayCore, build_plan, plan_for
 from repro.sim.timing import issue_schedule, simulate
+from scripts.gen_golden_stalls import OUTPUT as GOLDEN_STALLS
+from scripts.gen_golden_stalls import stalls_digest
 from tests.test_fuzz_differential import _block, _program
 
 
@@ -80,6 +90,62 @@ class TestMemoizedEqualsDirect:
         ).trace
         for config in _edge_machines():
             _assert_identical(trace, config)
+
+
+class TestGoldenStalls:
+    """Memoized observed replay reproduces stall breakdowns recorded
+    from direct replay before the flat-accumulator rewrite."""
+
+    def test_memoized_observed_replay_matches_golden_digests(self):
+        with open(GOLDEN_STALLS, encoding="utf-8") as handle:
+            golden = json.load(handle)
+        machines = paper_machines()
+        benches = suite.all_benchmarks()
+        assert len(golden) == len(machines) * len(benches) == 56
+        mismatched = []
+        for bench in benches:
+            trace = suite.run_benchmark(
+                bench, suite.default_options(bench)
+            ).trace
+            for config in machines:
+                key = f"{bench.name}@{config.name}"
+                result = simulate(trace, config, observe=True)
+                stalls = result.stalls
+                assert stalls.minor_cycles == result.minor_cycles, key
+                got = {"minor_cycles": result.minor_cycles,
+                       "stalls_sha256": stalls_digest(stalls)}
+                if got != golden[key]:
+                    mismatched.append(key)
+        golden_name = os.path.basename(GOLDEN_STALLS)
+        assert not mismatched, \
+            f"stall breakdowns diverged from {golden_name} on {mismatched}"
+
+
+class TestNoPerCallCharging:
+    """Observed replay accumulates stalls in a flat list and builds the
+    breakdown once per run; it never calls ``StallBreakdown.charge``."""
+
+    @pytest.mark.parametrize("spec", ["superscalar:4", "multititan"])
+    def test_memo_warm_rerun_never_charges_per_call(self, spec,
+                                                    monkeypatch):
+        def refuse(self, klass, cause_index, cycles):
+            raise AssertionError("replay charged a stall per call")
+
+        monkeypatch.setattr(StallBreakdown, "charge", refuse)
+        bench = suite.get("whet")
+        trace = suite.run_benchmark(
+            bench, suite.default_options(bench)
+        ).trace
+        config = resolve(spec)
+        core = ReplayCore(trace, config, observe=True)
+        core.run()
+        warm = core.run()
+        direct = ReplayCore(trace, config, observe=True).run(memoize=False)
+        assert warm.stats.memo_hits > 0
+        assert warm.stats.memo_misses == 0
+        assert warm.minor_cycles == direct.minor_cycles
+        assert warm.stalls == direct.stalls
+        assert warm.stalls.stalled > 0
 
 
 class TestIssueSchedule:

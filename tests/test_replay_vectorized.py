@@ -32,8 +32,10 @@ from repro.benchmarks import suite
 from repro.engine.cache import TraceCache
 from repro.engine.executor import execute
 from repro.engine.plan import plan_sweep
+from repro.isa.opcodes import InstrClass
 from repro.machine.presets import resolve
 from repro.obs.schema import check_replay
+from repro.obs.stalls import FLAT_SIZE, STALL_CAUSES
 from repro.sim import replay as replay_mod
 from repro.sim.memo import (
     MemoStore,
@@ -203,8 +205,9 @@ class TestMemoPersistence:
 
     def test_v1_payload_is_rejected_and_rewritten_as_v2(self, tmp_path):
         """An entry in the retired v1 layout (backend key format plus a
-        resolved event schedule) is dropped as stale, replaced by a v2
-        payload, and the cycles do not change."""
+        resolved event schedule) is dropped as stale, replaced by a
+        payload in the current format, and the cycles do not change.
+        (The name predates the v3 bump.)"""
         trace = _whet_trace()
         config = resolve("superscalar:4")
         ref = simulate(trace, config, observe=True, memoize=False)
@@ -229,7 +232,7 @@ class TestMemoPersistence:
         with open(path, "rb") as handle:
             rewritten = pickle.load(handle)
         assert rewritten["format"] == replay_mod.MEMO_PAYLOAD_FORMAT \
-            == "replay-memo-v2"
+            == "replay-memo-v3"
         assert "key_format" not in rewritten
         assert "resolved" not in rewritten
 
@@ -239,6 +242,63 @@ class TestMemoPersistence:
         assert again.minor_cycles == ref.minor_cycles
         assert fresh.stats.hits == 1
         assert fresh.stats.stores == 0
+
+    def test_v2_observe_payload_is_rejected_and_rewritten_as_v3(
+            self, tmp_path):
+        """A v2 observe-mode entry stores its stall charges as
+        ``(klass, cause, cycles)`` triples.  Its 9-tuple entries pass the
+        shape check, so only the format tag keeps them out: the entry is
+        counted corrupt, rewritten as v3 with ``(flat_index, cycles)``
+        charges, and the stalls equal direct replay.  (The memo key
+        hashes the format tag too, so a real v2 file is never looked up;
+        this pins the adoption check behind it.)"""
+        trace = _whet_trace()
+        config = resolve("superscalar:4")
+        ref = simulate(trace, config, observe=True, memoize=False)
+        prime = MemoStore(str(tmp_path / "memo"))
+        replay_with_memo(prime, trace, config, observe=True)
+        path = prime.path_for(memo_key(trace, config, observe=True))
+        with open(path, "rb") as handle:
+            payload = pickle.load(handle)
+        classes = list(InstrClass)
+        width = len(STALL_CAUSES)
+        for table in payload["tables"]:
+            for key, entry in list((table or {}).items()):
+                v2_charges = tuple(
+                    (classes[i // width], i % width, cyc)
+                    for i, cyc in entry[7]
+                )
+                table[key] = entry[:7] + (v2_charges,) + entry[8:]
+        payload["format"] = "replay-memo-v2"
+        with open(path, "wb") as handle:
+            pickle.dump(payload, handle)
+
+        clear_registry()
+        store = MemoStore(str(tmp_path / "memo"))
+        out = replay_with_memo(store, trace, config, observe=True)
+        assert out.minor_cycles == ref.minor_cycles
+        assert out.stalls == ref.stalls
+        assert store.stats.corrupt == 1
+        assert store.stats.hits == 0
+        assert store.stats.stores == 1
+        with open(path, "rb") as handle:
+            rewritten = pickle.load(handle)
+        assert rewritten["format"] == "replay-memo-v3"
+        charges = [
+            pair for table in rewritten["tables"] if table
+            for entry in table.values() for pair in entry[7]
+        ]
+        assert charges
+        assert all(
+            isinstance(i, int) and 0 <= i < FLAT_SIZE and cyc > 0
+            for i, cyc in charges
+        )
+
+        clear_registry()
+        fresh = MemoStore(str(tmp_path / "memo"))
+        again = replay_with_memo(fresh, trace, config, observe=True)
+        assert again.stalls == ref.stalls
+        assert fresh.stats.hits == 1
 
     def test_null_store_runs_plain(self):
         trace = _whet_trace()
