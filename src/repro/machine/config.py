@@ -183,6 +183,20 @@ class MachineConfig:
         """True when the machine has no functional-unit (class) limits."""
         return not self.units
 
+    def class_units(self) -> dict[InstrClass, FunctionalUnit]:
+        """The functional unit each instruction class issues to.
+
+        The first unit listed for a class wins (the presets never list a
+        class twice); empty for an ideal machine.  Every issue model —
+        the replay core, the schedulers and the schedule validator —
+        reads the class→unit mapping from here.
+        """
+        owner: dict[InstrClass, FunctionalUnit] = {}
+        for u in self.units:
+            for klass in u.classes:
+                owner.setdefault(klass, u)
+        return owner
+
     def latency_of(self, klass: InstrClass) -> int:
         """Operation latency of a class in minor cycles."""
         return self.latencies[klass]

@@ -100,17 +100,16 @@ class _Search:
                     best = cand
             self.tail[i] = best
         # klass -> index into the per-state unit-occupancy vector.
-        self.unit_slot: dict = {}
         self.unit_shapes: list[tuple[int, int]] = []  # (multiplicity, lat)
-        if config.units:
-            seen: dict[int, int] = {}
-            for u in config.units:
-                idx = seen.setdefault(id(u), len(self.unit_shapes))
-                if idx == len(self.unit_shapes):
-                    self.unit_shapes.append((u.multiplicity,
-                                             u.issue_latency))
-                for klass in u.classes:
-                    self.unit_slot.setdefault(klass, idx)
+        slot_of: dict[int, int] = {}
+        for u in config.units:
+            if id(u) not in slot_of:
+                slot_of[id(u)] = len(self.unit_shapes)
+                self.unit_shapes.append((u.multiplicity, u.issue_latency))
+        self.unit_slot: dict = {
+            klass: slot_of[id(u)]
+            for klass, u in config.class_units().items()
+        }
         self.klass_unit = [
             self.unit_slot.get(i.op.klass) for i in instrs
         ]

@@ -10,10 +10,9 @@ with the longest critical path to the end of the block.
 
 This is the default scheduler backend (see :mod:`repro.sched.registry`);
 its output is pinned bit-identical against golden schedules in
-``tests/golden/schedules.json``.  The historical module-level entry
-points (:func:`schedule_function` / :func:`schedule_block`) remain the
-implementation and keep working via the :mod:`repro.sched.list_scheduler`
-shim.
+``tests/golden/schedules.json``.  The module-level entry points
+(:func:`schedule_function` / :func:`schedule_block`) are the
+implementation; :class:`ListScheduler` adapts them to the registry.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ from ..obs.profile import SchedStats
 from ..opt.options import AliasLevel
 from .dag import DepDAG, build_dag
 from .registry import SchedulerBackend, register
-from .validate import check_schedule
+from .validate import check_schedule, unit_table
 
 
 def schedule_function(
@@ -116,13 +115,7 @@ def _list_schedule(
     earliest = [0] * n
     ready = {i for i in range(n) if indeg[i] == 0}
 
-    unit_free: dict = {}
-    unit_of: dict = {}
-    if config.units:
-        for u in config.units:
-            state = [0] * u.multiplicity
-            for klass in u.classes:
-                unit_of.setdefault(klass, (state, u.issue_latency))
+    unit_of = unit_table(config)
 
     order: list[int] = []
     time = 0

@@ -36,10 +36,7 @@ def _res_mii(block: BasicBlock, config: MachineConfig) -> int:
     n = len(block.instrs)
     mii = max(1, -(-n // config.issue_width))
     if config.units:
-        unit_of: dict = {}
-        for u in config.units:
-            for klass in u.classes:
-                unit_of.setdefault(klass, u)
+        unit_of = config.class_units()
         uses: dict[int, int] = {}
         for ins in block.instrs:
             u = unit_of.get(ins.op.klass)
@@ -78,11 +75,7 @@ def _modulo_order(
     if len(sched_order) != n:
         return None
 
-    unit_of_klass: dict = {}
-    if config.units:
-        for u in config.units:
-            for klass in u.classes:
-                unit_of_klass.setdefault(klass, u)
+    unit_of_klass = config.class_units()
 
     ii = _res_mii(block, config)
     # A makespan-length II degenerates to plain list scheduling; don't

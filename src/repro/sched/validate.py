@@ -28,15 +28,12 @@ from ..machine.config import MachineConfig
 from .dag import DepDAG
 
 
-def _unit_table(config: MachineConfig) -> dict:
-    """``klass -> (free-times list, issue latency)``, fresh state."""
-    unit_of: dict = {}
-    if config.units:
-        for u in config.units:
-            state = [0] * u.multiplicity
-            for klass in u.classes:
-                unit_of.setdefault(klass, (state, u.issue_latency))
-    return unit_of
+def unit_table(config: MachineConfig) -> dict:
+    """``klass -> (free-times list, issue latency)``, fresh state; the
+    classes of one unit share its free-times list."""
+    free = {id(u): [0] * u.multiplicity for u in config.units}
+    return {klass: (free[id(u)], u.issue_latency)
+            for klass, u in config.class_units().items()}
 
 
 def issue_times(
@@ -56,7 +53,7 @@ def issue_times(
     """
     n = len(instrs)
     width = config.issue_width
-    unit_of = _unit_table(config)
+    unit_of = unit_table(config)
     ready = [0] * n
     times = [0] * n
     cur_cycle = 0
@@ -156,12 +153,7 @@ def check_schedule(
                 f"{count} issues > width {config.issue_width}"
             )
     if config.units:
-        # First-registered unit wins per class, exactly as in the issue
-        # model's lookup table.
-        unit_of_klass: dict = {}
-        for u in config.units:
-            for klass in u.classes:
-                unit_of_klass.setdefault(klass, u)
+        unit_of_klass = config.class_units()
         for u in config.units:
             issues = sorted(
                 times[i] for i in range(n)

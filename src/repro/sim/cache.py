@@ -6,17 +6,28 @@ Two layers:
   cycle time and memory time give the miss cost in cycles and in average
   instruction times (Table 5-1), and the worked example showing how cache
   misses dilute the speedup of parallel instruction issue;
-* an actual direct-mapped cache simulator that replays a trace and
-  charges loads a miss penalty, so the dilution can be *measured* on the
-  benchmark suite rather than assumed.
+* direct-mapped data- and instruction-cache simulators, so the dilution
+  can be *measured* on the benchmark suite rather than assumed.
+
+The simulators hold the cache model only: the geometry
+(:class:`CacheConfig`), the tags, and one pass that turns a trace into
+its miss stream.  Both miss streams depend on the trace alone — data
+tags change on loads in trace order, instruction tags on fetches in
+static-index order — so no issue loop lives here.  The stream is timed
+by the replay core's direct path
+(:meth:`repro.sim.replay.ReplayCore.run_direct`), the same in-order
+issue model as :func:`repro.sim.timing.simulate`, branch policy
+included: with a zero miss penalty both simulators equal ``simulate``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 
 from ..machine.config import MachineConfig
-from .timing import TimingResult, _static_records
+from .replay import ReplayCore
+from .timing import TimingResult
 from .trace import Trace
 
 
@@ -105,80 +116,31 @@ def simulate_with_cache(
 ) -> CacheResult:
     """Replay ``trace`` on ``config`` with a direct-mapped data cache.
 
-    Same in-order issue model as :func:`repro.sim.timing.simulate`;
-    a load that misses completes ``miss_penalty`` minor cycles later.
-    Stores are write-through/no-allocate and never stall (the paper's
-    cost model concerns read misses).
+    Same in-order issue model as :func:`repro.sim.timing.simulate` (the
+    replay core's direct path); a load that misses completes
+    ``miss_penalty`` minor cycles later.  Stores are
+    write-through/no-allocate and never stall (the paper's cost model
+    concerns read misses).
     """
-    records, max_reg = _static_records(trace, config)
-    width = config.issue_width
-    reg_ready = [0] * (max_reg + 1)
-    mem_ready: dict[int, int] = {}
-    ops = trace.ops
-    addrs = trace.addrs
-
-    n_lines = cache.n_lines
+    flags = _load_flags(trace)
     line_words = cache.line_words
+    n_lines = cache.n_lines
+    penalty = cache.miss_penalty
     tags = [-1] * n_lines
-    loads = 0
+    extra = [0] * len(flags)
     misses = 0
-
-    cur_cycle = 0
-    cur_count = 0
-    last_finish = 0
-
-    for i, si in enumerate(ops):
-        srcs, dest, lat, unit, is_load, is_store, _is_cbr = records[si]
-        t = cur_cycle
-        for s in srcs:
-            r = reg_ready[s]
-            if r > t:
-                t = r
-        if is_load:
-            r = mem_ready.get(addrs[i], 0)
-            if r > t:
-                t = r
-        while True:
-            if t == cur_cycle and cur_count >= width:
-                t += 1
-            if unit is not None:
-                free = unit.free
-                best = min(range(len(free)), key=free.__getitem__)
-                if free[best] > t:
-                    t = free[best]
-                    continue
-                free[best] = t + unit.issue_latency
-            break
-        if t > cur_cycle:
-            cur_cycle, cur_count = t, 1
-        else:
-            cur_count += 1
-
-        if is_load:
-            loads += 1
-            line = addrs[i] // line_words
-            idx = line % n_lines
-            if tags[idx] != line:
-                tags[idx] = line
-                misses += 1
-                lat = lat + cache.miss_penalty
-        # stores are write-through / no-allocate: no tag state change
-
-        finish = t + lat
-        if dest >= 0:
-            reg_ready[dest] = finish
-        if is_store:
-            mem_ready[addrs[i]] = finish
-        if finish > last_finish:
-            last_finish = finish
-
-    timing = TimingResult(
-        config_name=f"{config.name}+cache",
-        instructions=len(ops),
-        minor_cycles=last_finish,
-        base_cycles=config.minor_to_base(last_finish),
+    for m, addr in compress(enumerate(trace.mem_addrs), flags):
+        line = addr // line_words
+        idx = line % n_lines
+        if tags[idx] != line:
+            tags[idx] = line
+            misses += 1
+            extra[m] = penalty
+    outcome = ReplayCore(trace, config).run_direct(load_extra=extra)
+    return CacheResult(
+        timing=_timing(trace, config, "+cache", outcome.minor_cycles),
+        loads=sum(flags), load_misses=misses,
     )
-    return CacheResult(timing=timing, loads=loads, load_misses=misses)
 
 
 @dataclass(frozen=True, slots=True)
@@ -204,77 +166,85 @@ def simulate_with_icache(
     The paper's unrolling caveat: "If limited instruction caches were
     present, the actual performance would decline for large degrees of
     unrolling" (Section 4.4).  Each static instruction occupies one word
-    of instruction memory (its flattened index); a fetch miss stalls the
-    in-order issue frontier for ``miss_penalty`` minor cycles, so large
-    unrolled bodies that overflow the cache pay on every trip.
+    of instruction memory (its flattened index); an instruction whose
+    fetch misses issues no earlier than ``miss_penalty`` minor cycles
+    after the previous issue cycle, so large unrolled bodies that
+    overflow the cache pay on every trip.
     """
-    records, max_reg = _static_records(trace, config)
-    width = config.issue_width
-    reg_ready = [0] * (max_reg + 1)
-    mem_ready: dict[int, int] = {}
-    ops = trace.ops
-    addrs = trace.addrs
-
-    n_lines = icache.n_lines
-    line_words = icache.line_words
-    tags = [-1] * n_lines
-    misses = 0
-    fetch_floor = 0
-
-    cur_cycle = 0
-    cur_count = 0
-    last_finish = 0
-
-    for i, si in enumerate(ops):
-        srcs, dest, lat, unit, is_load, is_store, _is_cbr = records[si]
-        line = si // line_words
-        idx = line % n_lines
-        if tags[idx] != line:
-            tags[idx] = line
-            misses += 1
-            stall_from = cur_cycle if cur_cycle > fetch_floor else fetch_floor
-            fetch_floor = stall_from + icache.miss_penalty
-
-        t = cur_cycle
-        if t < fetch_floor:
-            t = fetch_floor
-        for s in srcs:
-            r = reg_ready[s]
-            if r > t:
-                t = r
-        if is_load:
-            r = mem_ready.get(addrs[i], 0)
-            if r > t:
-                t = r
-        while True:
-            if t == cur_cycle and cur_count >= width:
-                t += 1
-            if unit is not None:
-                free = unit.free
-                best = min(range(len(free)), key=free.__getitem__)
-                if free[best] > t:
-                    t = free[best]
-                    continue
-                free[best] = t + unit.issue_latency
-            break
-        if t > cur_cycle:
-            cur_cycle, cur_count = t, 1
-        else:
-            cur_count += 1
-        finish = t + lat
-        if dest >= 0:
-            reg_ready[dest] = finish
-        if is_store:
-            mem_ready[addrs[i]] = finish
-        if finish > last_finish:
-            last_finish = finish
-
-    timing = TimingResult(
-        config_name=f"{config.name}+icache",
-        instructions=len(ops),
-        minor_cycles=last_finish,
-        base_cycles=config.minor_to_base(last_finish),
+    chunks = _FetchChunks(trace, icache)
+    outcome = ReplayCore(trace, config).run_direct(
+        fetch_chunks=chunks, fetch_penalty=icache.miss_penalty
     )
     return ICacheResult(
-        timing=timing, fetches=len(ops), fetch_misses=misses
+        timing=_timing(trace, config, "+icache", outcome.minor_cycles),
+        fetches=len(trace), fetch_misses=chunks.misses,
     )
+
+
+def _timing(trace: Trace, config: MachineConfig, suffix: str,
+            minor_cycles: int) -> TimingResult:
+    """The timing result of one cache-simulated replay."""
+    return TimingResult(
+        config_name=config.name + suffix,
+        instructions=len(trace),
+        minor_cycles=minor_cycles,
+        base_cycles=config.minor_to_base(minor_cycles),
+    )
+
+
+def _load_flags(trace: Trace) -> list[bool]:
+    """Per dynamic memory position, ``True`` for a load (``False`` for a
+    store), in trace order."""
+    static_flags: list[bool] = []
+    mem_before = [0]
+    for ins in trace.static:
+        info = ins.op.info
+        if info.is_load or info.is_store:
+            static_flags.append(info.is_load)
+        mem_before.append(len(static_flags))
+    flags: list[bool] = []
+    for start, length in trace.runs():
+        flags += static_flags[mem_before[start]:mem_before[start + length]]
+    return flags
+
+
+class _FetchChunks:
+    """The trace's runs split at instruction-fetch misses.
+
+    Iterating yields one segment list per chunk, each starting with an
+    instruction whose fetch misses, and counts the misses in
+    :attr:`misses`.  Chunks are built as they are replayed, so the split
+    trace is never held in memory.  A run executes consecutive static
+    indices, so it is scanned one cache line at a time: only the first
+    instruction it fetches from a line can miss.
+    """
+
+    def __init__(self, trace: Trace, icache: CacheConfig) -> None:
+        self.trace = trace
+        self.icache = icache
+        self.misses = 0
+
+    def __iter__(self):
+        line_words = self.icache.line_words
+        n_lines = self.icache.n_lines
+        tags = [-1] * n_lines
+        chunk: list[tuple[int, int]] = []
+        for start, length in self.trace.runs():
+            end = start + length
+            seg = start
+            for line in range(start // line_words,
+                              (end - 1) // line_words + 1):
+                idx = line % n_lines
+                if tags[idx] != line:
+                    tags[idx] = line
+                    first = line * line_words
+                    if first > seg:
+                        chunk.append((seg, first - seg))
+                        seg = first
+                    if chunk:
+                        yield chunk
+                        chunk = []
+                    self.misses += 1
+            chunk.append((seg, end - seg))
+        if chunk:
+            yield chunk

@@ -30,7 +30,8 @@ in-order machine; with a large window it approaches the dataflow limit.
 from __future__ import annotations
 
 from ..machine.config import MachineConfig
-from .timing import TimingResult, _static_records
+from .replay import _static_records
+from .timing import TimingResult
 from .trace import Trace
 
 

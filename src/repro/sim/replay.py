@@ -1,8 +1,9 @@
 """Shared trace-replay core with block-structured memoization.
 
 One replay loop serves all three timing entry points (fast cycle counts,
-stall-attributed replay, per-event issue schedules), replacing the three
-hand-copied loops that used to live in :mod:`repro.sim.timing`.
+stall-attributed replay, per-event issue schedules) and, through its
+direct path (:meth:`ReplayCore.run_direct`), the data- and
+instruction-cache simulators of :mod:`repro.sim.cache`.
 
 The speed comes from two layers on top of the v2 trace encoding:
 
@@ -137,13 +138,10 @@ def _static_records(
     destination and ``unit`` either ``None`` (ideal) or the shared
     :class:`_UnitState`.
     """
-    unit_for_class: dict[InstrClass, _UnitState] = {}
-    if config.units:
-        for u in config.units:
-            state = _UnitState(u.issue_latency, u.multiplicity)
-            for klass in u.classes:
-                # First unit listed for a class wins; presets do not overlap.
-                unit_for_class.setdefault(klass, state)
+    states = {id(u): _UnitState(u.issue_latency, u.multiplicity)
+              for u in config.units}
+    unit_for_class = {klass: states[id(u)]
+                      for klass, u in config.class_units().items()}
 
     entries, max_reg = _static_skeleton(trace)
     latency_of = [config.latencies[k] for k in _CLASSES]
@@ -166,9 +164,6 @@ def _static_records(
 #: block brings; sweeps showed one aggressive phase beats multi-phase
 #: schedules and larger caps on the paper grid.
 _MERGE_PHASES = ((20, 512),)
-#: Back-compat aliases for the first phase's knobs.
-_MIN_REPEAT = _MERGE_PHASES[0][0]
-_MAX_BLOCK_INSTRS = _MERGE_PHASES[0][1]
 #: Upper bound on merge passes (each pass at least halves hot sequences).
 _MAX_PASSES = 24
 #: A block is abandoned for memoization once it misses this often
@@ -241,17 +236,12 @@ def _merge_segments(
     return a + b
 
 
-def build_plan(
-    trace: Trace,
-    *,
-    phases: tuple[tuple[int, int], ...] = _MERGE_PHASES,
-    max_passes: int = _MAX_PASSES,
-) -> _Plan:
+def build_plan(trace: Trace) -> _Plan:
     """Compress ``trace``'s run sequence into a block schedule.
 
-    Pure function of the trace (and the tuning knobs): no randomness, no
-    machine state — required so serial and parallel engine runs produce
-    identical replay statistics.
+    Pure function of the trace: no randomness, no machine state —
+    required so serial and parallel engine runs produce identical replay
+    statistics.
     """
     entries, _ = _static_skeleton(trace)
     mem_prefix = [0] * (len(entries) + 1)
@@ -276,8 +266,8 @@ def build_plan(
         seq.append(bid)
 
     block_of_pair: dict[tuple[int, int], int] = {}
-    for min_repeat, max_block in phases:
-        for _ in range(max_passes):
+    for min_repeat, max_block in _MERGE_PHASES:
+        for _ in range(_MAX_PASSES):
             if len(seq) < 2 * min_repeat:
                 break
             pair_counts = Counter(zip(seq, seq[1:]))
@@ -580,7 +570,7 @@ class ReplayCore:
 
     def _replay_segments(self, segments, m, reg_ready, mem_ready,
                          cur_cycle, cur_count, branch_floor,
-                         charge, times, store_log=None):
+                         charge, times, store_log=None, load_extra=None):
         """Direct per-instruction replay of ``segments``.
 
         The one and only copy of the paper's in-order issue model;
@@ -589,7 +579,10 @@ class ReplayCore:
         ``times`` is ``None`` or a list collecting issue times,
         ``store_log`` is ``None`` or a list collecting a
         ``(finish, addr)`` pair per store, in order (used by the memo
-        capture and the pending-store fallback check).
+        capture and the pending-store fallback check);
+        ``load_extra`` is ``None`` or extra latency per memory position,
+        added to the load there (data-cache misses, see
+        :meth:`run_direct`).
         Returns ``(m, cur_cycle, cur_count, branch_floor, local_finish)``
         where ``local_finish`` is the completion horizon of *these*
         instructions only.
@@ -621,6 +614,8 @@ class ReplayCore:
                 raw_mark = t
                 if is_load:
                     addr = mem_addrs[m]
+                    if load_extra is not None:
+                        lat += load_extra[m]
                     m += 1
                     r = mem_get(addr, 0)
                     if r > t:
@@ -702,7 +697,7 @@ class ReplayCore:
         per-instruction path for every block (the reference behavior the
         property tests compare against)."""
         if not memoize:
-            return self._run_plain()
+            return self.run_direct()
         return self._run_memoized()
 
     def _reset_units(self) -> None:
@@ -712,8 +707,23 @@ class ReplayCore:
             for i in range(len(free)):
                 free[i] = 0
 
-    def _run_plain(self) -> ReplayOutcome:
-        """The pure per-instruction reference path (no memoization)."""
+    def run_direct(self, *, load_extra=None, fetch_chunks=None,
+                   fetch_penalty: int = 0) -> ReplayOutcome:
+        """The pure per-instruction reference path (no memoization).
+
+        Two optional inputs let the cache simulators of
+        :mod:`repro.sim.cache` time a miss stream that depends on the
+        trace alone:
+
+        * ``load_extra`` — extra latency per memory position, added to
+          the load there (a data-cache miss penalty, 0 on a hit);
+        * ``fetch_chunks`` — the trace's runs split at instruction-fetch
+          misses, one segment list per chunk, each chunk starting with a
+          missing instruction.  That instruction issues no earlier than
+          ``fetch_penalty`` minor cycles after the previous issue cycle:
+          the branch-stall floor is raised to carry it, and once it has
+          issued the floor is behind the issue frontier again.
+        """
         self._reset_units()
         trace = self.trace
         flat = [0] * FLAT_SIZE if self.observe else None
@@ -721,11 +731,20 @@ class ReplayCore:
         stats = ReplayStats(blocks=len(self.plan.schedule))
         reg_ready = [0] * (self.max_reg + 1)
         mem_ready: dict[int, int] = {}
-        m, cur_cycle, cur_count, branch_floor, last_finish = \
-            self._replay_segments(
-                trace.runs(), 0, reg_ready, mem_ready, 0, 0, 0,
-                flat, times,
+        if fetch_chunks is None:
+            fetch_chunks = (trace.runs(),)
+        replay_segments = self._replay_segments
+        m = cur_cycle = cur_count = branch_floor = last_finish = 0
+        for chunk in fetch_chunks:
+            floor = cur_cycle + fetch_penalty
+            if floor > branch_floor:
+                branch_floor = floor
+            m, cur_cycle, cur_count, branch_floor, fin = replay_segments(
+                chunk, m, reg_ready, mem_ready, cur_cycle, cur_count,
+                branch_floor, flat, times, None, load_extra,
             )
+            if fin > last_finish:
+                last_finish = fin
         stats.direct_instructions = trace.n
         return ReplayOutcome(
             minor_cycles=last_finish, final_issue=cur_cycle,

@@ -25,26 +25,19 @@ All three entry points — :func:`simulate` (fast and ``observe=True``
 stall-attributed) and :func:`issue_schedule` — share the single replay
 loop in :mod:`repro.sim.replay`, which memoizes repeated trace blocks;
 ``memoize=False`` forces the direct per-instruction reference path, which
-is bit-identical by construction (and by the property tests).
+is bit-identical by construction (and by the property tests).  The cache
+simulators of :mod:`repro.sim.cache` time their miss streams on that
+same direct path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..isa.opcodes import InstrClass
 from ..machine.config import MachineConfig
 from ..obs.stalls import StallBreakdown
-from .replay import (  # noqa: F401  (re-exported for sim.cache/sim.limits)
-    ReplayCore,
-    ReplayStats,
-    _static_records,
-    _UnitState,
-    replay,
-)
+from .replay import ReplayStats, replay
 from .trace import Trace
-
-_CLASS_INDEX = {klass: i for i, klass in enumerate(InstrClass)}
 
 
 @dataclass(frozen=True, slots=True)

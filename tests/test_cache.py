@@ -1,19 +1,29 @@
 """Unit tests for the cache cost model and cache simulator."""
 
-import pytest
+import json
 
+import pytest
+from hypothesis import HealthCheck, given, settings
+
+from repro.benchmarks import suite
 from repro.isa import build
 from repro.isa.registers import virtual
 from repro.machine import base_machine, ideal_superscalar
+from repro.machine.presets import paper_machines
 from repro.sim.cache import (
     TABLE_5_1,
     CacheConfig,
     CacheResult,
     parallel_issue_speedup_with_misses,
     simulate_with_cache,
+    simulate_with_icache,
 )
 from repro.sim.timing import simulate
 from repro.sim.trace import Trace
+from scripts.gen_golden_cache import OUTPUT as GOLDEN_CACHE
+from scripts.gen_golden_cache import cache_cell
+from tests.test_fuzz_differential import _block, _program
+from tests.test_replay import _edge_machines, _trace_for
 
 
 class TestMissCostModel:
@@ -114,6 +124,73 @@ class TestCacheSimulation:
         result = simulate_with_cache(trace, base_machine(), cache)
         assert result.loads == 0
         assert result.miss_rate == 0.0
+
+
+def _benchmark_trace(name: str) -> Trace:
+    bench = suite.get(name)
+    return suite.run_benchmark(bench, suite.default_options(bench)).trace
+
+
+def _assert_zero_penalty_matches_simulate(trace, config):
+    expected = simulate(trace, config).minor_cycles
+    free = CacheConfig(size_words=64, line_words=4, miss_penalty=0)
+    dcache = simulate_with_cache(trace, config, free)
+    icache = simulate_with_icache(trace, config, free)
+    assert dcache.timing.minor_cycles == expected, config.name
+    assert icache.timing.minor_cycles == expected, config.name
+
+
+class TestGoldenCacheFigures:
+    """Both cache simulators reproduce figures recorded from the
+    hand-written issue loops they replaced (see
+    ``scripts/gen_golden_cache.py``)."""
+
+    #: A fixed subset of the 56 recorded cells: whet on every paper
+    #: machine (multititan and cray1 have unit conflicts), plus the
+    #: larger linpack trace on two machines.
+    CELLS = tuple(
+        ("whet", config.name) for config in paper_machines()
+    ) + (("linpack", "multititan-w1"), ("linpack", "superpipelined-4"))
+
+    def test_subset_matches_golden(self):
+        with open(GOLDEN_CACHE, encoding="utf-8") as handle:
+            golden = json.load(handle)
+        assert len(golden) == 56
+        machines = {config.name: config for config in paper_machines()}
+        traces = {}
+        for bench, machine in self.CELLS:
+            if bench not in traces:
+                traces[bench] = _benchmark_trace(bench)
+            key = f"{bench}@{machine}"
+            assert cache_cell(traces[bench], machines[machine]) \
+                == golden[key], key
+
+
+class TestZeroPenaltyMatchesSimulate:
+    """With a free miss, both cache simulators are :func:`simulate`,
+    under either branch policy."""
+
+    @settings(
+        max_examples=20, deadline=None,
+        suppress_health_check=[HealthCheck.too_slow,
+                               HealthCheck.data_too_large],
+    )
+    @given(body=_block(2, 0))
+    def test_random_programs_edge_machines(self, body):
+        trace = _trace_for(_program(body))
+        for config in _edge_machines():
+            for policy in ("perfect", "stall"):
+                _assert_zero_penalty_matches_simulate(
+                    trace, config.with_branch_policy(policy)
+                )
+
+    def test_yacc_superscalar_4_branch_stall(self):
+        config = next(
+            c for c in paper_machines() if c.name == "superscalar-4"
+        ).with_branch_policy("stall")
+        trace = _benchmark_trace("yacc")
+        assert simulate(trace, config).minor_cycles == 317870
+        _assert_zero_penalty_matches_simulate(trace, config)
 
 
 # ----------------------------------------------------------------------

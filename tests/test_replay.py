@@ -10,7 +10,9 @@ conservation law, and the blacklist fall-back.  Golden stall digests,
 recorded before the flat-accumulator rewrite, check observed replay
 against figures the current code did not produce, and a guard pins that
 observed replay never charges stalls one ``StallBreakdown.charge`` call
-at a time.
+at a time.  The scheduler's block-local issue model
+(:func:`repro.sched.validate.issue_times`) is checked against the replay
+core on random straight-line blocks.
 """
 
 from __future__ import annotations
@@ -21,8 +23,13 @@ from dataclasses import replace
 
 import pytest
 from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.benchmarks import suite
+from repro.isa import BasicBlock, InstrClass, Opcode, build
+from repro.isa.registers import virtual
+from repro.machine import MachineConfig
+from repro.machine.config import unit
 from repro.machine.presets import (
     ideal_superscalar,
     paper_machines,
@@ -31,10 +38,13 @@ from repro.machine.presets import (
 )
 from repro.obs.stalls import StallBreakdown
 from repro.opt.driver import compile_source
+from repro.sched.dag import build_dag
+from repro.sched.validate import issue_times
 from repro.sim import replay as replay_mod
 from repro.sim.interp import run as interp_run
 from repro.sim.replay import ReplayCore, build_plan, plan_for
 from repro.sim.timing import issue_schedule, simulate
+from repro.sim.trace import Trace
 from scripts.gen_golden_stalls import OUTPUT as GOLDEN_STALLS
 from scripts.gen_golden_stalls import stalls_digest
 from tests.test_fuzz_differential import _block, _program
@@ -264,3 +274,78 @@ class TestBlacklist:
         core.run()
         assert any(core._blacklisted), \
             "an eligible block should have been blacklisted"
+
+
+# ------------------------------------------------- scheduler model oracle
+
+#: Register-only opcodes: integer, logical, shift, FP and conversion
+#: classes, with latencies and units that differ per class.
+_REG_OPS = (Opcode.ADD, Opcode.MUL, Opcode.DIV, Opcode.AND, Opcode.SLL,
+            Opcode.FADD, Opcode.FMUL, Opcode.FDIV)
+_UNARY_OPS = (Opcode.MOV, Opcode.FNEG, Opcode.CVTIF)
+_REG = st.integers(0, 5).map(virtual)
+
+
+def _reg_only_instr():
+    binary = st.builds(build.alu, st.sampled_from(_REG_OPS),
+                       _REG, _REG, _REG)
+    unary = st.builds(build.unary, st.sampled_from(_UNARY_OPS),
+                      _REG, _REG)
+    imm = st.builds(build.li, _REG, st.integers(0, 9))
+    return st.one_of(binary, unary, imm)
+
+
+@st.composite
+def _machine_shape(draw):
+    """A random machine: width, per-class latencies and, optionally,
+    scarce functional units — some classes listed by two units, so the
+    first-listed-unit rule decides."""
+    classes = list(InstrClass)
+    latencies = {k: draw(st.integers(1, 5)) for k in classes}
+    units = ()
+    if draw(st.booleans()):
+        n_units = draw(st.integers(1, 3))
+        owner = [draw(st.integers(0, n_units - 1)) for _ in classes]
+        units = tuple(
+            unit(f"u{j}",
+                 [k for k, o in zip(classes, owner) if o == j]
+                 + draw(st.lists(st.sampled_from(classes), max_size=2)),
+                 issue_latency=draw(st.integers(1, 3)),
+                 multiplicity=draw(st.integers(1, 2)))
+            for j in range(n_units)
+        )
+        units = tuple(u for u in units if u.classes)
+    return MachineConfig(
+        name="random", issue_width=draw(st.integers(1, 4)),
+        latencies=latencies, units=units,
+    )
+
+
+class TestScheduleModelOracle:
+    """The scheduler's block-local issue model equals the replay core:
+    :func:`repro.sched.validate.issue_times` of a block in source order
+    is the replay core's issue schedule of that block from an idle
+    machine."""
+
+    @staticmethod
+    def _assert_same_issue_times(instrs, config):
+        block = BasicBlock("b", list(instrs))
+        dag = build_dag(block, config)
+        expected = issue_schedule(Trace.from_instructions(instrs), config)
+        got = issue_times(block.instrs, list(range(len(instrs))), dag,
+                          config)
+        assert got == expected, config.name
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(instrs=st.lists(_reg_only_instr(), min_size=1, max_size=24))
+    def test_edge_machines(self, instrs):
+        for config in _edge_machines():
+            self._assert_same_issue_times(instrs, config)
+
+    @settings(max_examples=80, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(instrs=st.lists(_reg_only_instr(), min_size=1, max_size=24),
+           config=_machine_shape())
+    def test_random_machine_shapes(self, instrs, config):
+        self._assert_same_issue_times(instrs, config)
