@@ -20,12 +20,6 @@ Usage::
     python scripts/bench_gap.py [--benchmarks a,b,...]
         [--machines spec ...] [--schedulers list exact ...]
         [--output PATH] [--report-dir DIR] [--ledger PATH] [--workers N]
-        [--flow] [--cache-dir DIR]
-
-``--flow`` routes each backend's grid through the checkpointed
-workflow DAG engine (:mod:`repro.flow`): every compile and cell is
-journaled and checkpointed under ``--cache-dir``, so a killed run
-re-executes only the missing nodes when rerun.
 """
 
 from __future__ import annotations
@@ -68,12 +62,6 @@ def main(argv=None) -> int:
                         help="also ingest the document into this "
                              "run-history ledger")
     parser.add_argument("--workers", type=int, default=1)
-    parser.add_argument("--flow", action="store_true",
-                        help="run each backend grid as a checkpointed "
-                             "workflow DAG (resumable; needs --cache-dir)")
-    parser.add_argument("--cache-dir", metavar="DIR", default=None,
-                        help="trace cache directory for --flow "
-                             "(default: the engine default cache)")
     args = parser.parse_args(argv)
 
     from repro.analysis.gap import GapCell, GapReport
@@ -110,24 +98,8 @@ def main(argv=None) -> int:
                               machines=[c.name for c in machines])
             plan = plan_sweep(names, machines,
                               schedule_for_target=True, scheduler=sched)
-            if args.flow:
-                from repro.engine.cache import DEFAULT_CACHE_DIR, open_cache
-                from repro.flow import FlowContext
-                from repro.flow.flows import run_sweep_flow
-
-                flow_ctx = FlowContext(
-                    cache=open_cache(args.cache_dir or DEFAULT_CACHE_DIR,
-                                     False),
-                    flow_spec={"driver": "gap", "scheduler": sched,
-                               "benchmarks": names,
-                               "machines": args.machines},
-                )
-                result = run_sweep_flow(plan, flow=flow_ctx,
-                                        workers=args.workers,
-                                        recorder=recorder)
-            else:
-                result = execute(plan, workers=args.workers,
-                                 recorder=recorder)
+            result = execute(plan, workers=args.workers,
+                             recorder=recorder)
             if recorder.enabled:
                 recorder.emit("run_end", seconds=result.report.seconds,
                               counters=dict(recorder.counters))

@@ -11,9 +11,9 @@ Commands
     the execution engine (``--workers``, ``--machines``).
 ``suite``
     Run the eight-benchmark suite and print the ILP summary.  With
-    ``--flow`` the run executes as a checkpointed workflow DAG: every
-    compile and simulation cell is journaled under a run id (printed at
-    the end) so a killed run can be continued with ``resume``.
+    ``--flow`` (or ``--run-id``) the run is journaled: every cell node
+    of its workflow DAG is checkpointed under a run id (printed at the
+    end) so a killed run can be continued with ``resume``.
 ``resume <run-id>``
     Resume a killed ``suite --flow`` run from its journal: nodes with a
     valid checkpoint are restored, everything else re-executes, and the
@@ -206,14 +206,13 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_suite.add_argument(
         "--flow", action="store_true",
-        help="run as a checkpointed workflow DAG: every compile and "
-             "cell is journaled under a run id and 'repro resume' can "
-             "continue a killed run bit-identically (requires the "
-             "trace cache)",
+        help="journal the run: every cell is checkpointed under a run "
+             "id and 'repro resume' can continue a killed run "
+             "bit-identically (requires the trace cache)",
     )
     p_suite.add_argument(
         "--run-id", metavar="ID", default=None,
-        help="flow run id to journal under (default: generated; "
+        help="journal the run under this id (implies --flow; "
              "reusing an existing id resumes it)",
     )
     _add_machines_flag(p_suite, "the ideal 64-wide superscalar")
@@ -668,14 +667,18 @@ def _cmd_suite(args) -> int:
     machines = _resolve_machines(
         getattr(args, "machines", None), [ideal_superscalar(64)]
     )
+    run_id = getattr(args, "run_id", None)
+    if run_id is None and getattr(args, "flow", False):
+        from .flow import new_run_id
+
+        run_id = new_run_id()
     return _run_suite(args, bench_names, machines, profile=profile,
-                      use_flow=getattr(args, "flow", False),
-                      run_id=getattr(args, "run_id", None))
+                      run_id=run_id)
 
 
 def _cmd_resume(args) -> int:
     """Resume a killed ``suite --flow`` run from its journal."""
-    from .flow import FlowError, JournalError, journal_path, read_journal
+    from .flow import JournalError, journal_path, read_journal
 
     cache_root = args.cache_dir
     try:
@@ -711,20 +714,18 @@ def _cmd_resume(args) -> int:
             return 2
     try:
         return _run_suite(args, bench_names, machines, profile=profile,
-                          use_flow=True, run_id=args.run_id,
-                          observe=spec.get("observe"))
-    except FlowError as exc:
-        print(f"resume: {exc}", file=sys.stderr)
-        return 2
+                          run_id=args.run_id, observe=spec.get("observe"))
     finally:
         if previous is not None:
             sched_registry.set_default(previous)
 
 
-def _run_suite(args, bench_names, machines, *, profile, use_flow,
-               run_id, observe=None) -> int:
+def _run_suite(args, bench_names, machines, *, profile, run_id,
+               observe=None) -> int:
+    """Run and print one suite sweep; ``run_id`` journals it."""
     from .engine.executor import execute
     from .engine.plan import plan_sweep
+    from .flow import FlowError
     from .analysis.sweep import summarize
     from .obs.report import render_stall_table
 
@@ -741,42 +742,8 @@ def _run_suite(args, bench_names, machines, *, profile, use_flow,
             observe = profile or recorder.enabled
         plan = plan_sweep(bench_names, machines, observe=observe)
         tracer = _engine_tracer(args)
-        flow_ctx = None
-        if use_flow:
-            from .flow import FlowContext, FlowError
-            from .flow.flows import run_sweep_flow
-
-            cache = _engine_cache(args)
-            if not cache.enabled:
-                print("suite: --flow requires the trace cache "
-                      "(drop --no-cache)", file=sys.stderr)
-                return 2
-            flow_ctx = FlowContext(
-                cache=cache,
-                run_id=run_id,
-                flow_spec={
-                    "driver": "suite",
-                    "benchmarks": list(bench_names),
-                    "machines": [c.name for c in machines],
-                    "observe": bool(observe),
-                    "profile": bool(profile),
-                    "scheduler": getattr(args, "scheduler", None),
-                },
-                policy=_engine_policy(args),
-                faults=_engine_faults(args),
-            )
-            try:
-                result = run_sweep_flow(
-                    plan, flow=flow_ctx,
-                    workers=getattr(args, "workers", 1),
-                    recorder=recorder, tracer=tracer,
-                )
-            except FlowError as exc:
-                print(f"suite: {exc}", file=sys.stderr)
-                return 2
-        else:
-            line, progress = _progress_line(args,
-                                            total_cells=len(plan.cells))
+        line, progress = _progress_line(args, total_cells=len(plan.cells))
+        try:
             with line if line is not None else _nullcontext():
                 result = execute(
                     plan,
@@ -789,7 +756,19 @@ def _run_suite(args, bench_names, machines, *, profile, use_flow,
                     progress=progress,
                     sample_resources=getattr(args, "sample_resources",
                                              False),
+                    run_id=run_id,
+                    flow_spec={
+                        "driver": "suite",
+                        "benchmarks": list(bench_names),
+                        "machines": [c.name for c in machines],
+                        "observe": bool(observe),
+                        "profile": bool(profile),
+                        "scheduler": getattr(args, "scheduler", None),
+                    },
                 )
+        except FlowError as exc:
+            print(f"suite: {exc}", file=sys.stderr)
+            return 2
         if recorder.enabled:
             for cell in result.cells:
                 if cell.status != "failed":
@@ -850,8 +829,8 @@ def _run_suite(args, bench_names, machines, *, profile, use_flow,
                     ))
         assert result.report is not None
         print(result.report.summary())
-        if flow_ctx is not None and flow_ctx.result is not None:
-            print(flow_ctx.result.summary())
+        if run_id is not None:
+            print(result.flow.summary())
         if recorder.enabled:
             recorder.emit("run_end", seconds=result.report.seconds,
                           counters=dict(recorder.counters))

@@ -72,8 +72,6 @@ __all__ = [
     "compile",
     "dashboard",
     "diff",
-    "flow_runs",
-    "flow_sweep",
     "ingest",
     "ledger",
     "measure",
@@ -281,56 +279,6 @@ def sweep(plan: Plan, *, workers: int = 1, cache_dir: str | None = None,
     )
     assert result.report is not None
     return SweepResult(rows=rows, engine=result.report)
-
-
-def flow_sweep(plan: Plan, *, cache_dir: str | None = None,
-               run_id: str | None = None, workers: int = 1,
-               recorder: Recorder | None = None,
-               policy: RetryPolicy | None = None,
-               faults: FaultPlan | None = None) -> SweepResult:
-    """Execute a :class:`Plan` as a checkpointed, resumable flow.
-
-    The flow equivalent of :func:`sweep`: every compile and cell
-    becomes a content-fingerprinted DAG node whose completion is
-    checkpointed to the cache directory and journaled under a run id
-    (``run_id``, generated when omitted — read it back from the journal
-    directory via :func:`flow_runs`).  Kill the process at any node
-    boundary and re-invoking with the same ``run_id`` resumes, re-runs
-    only the incomplete nodes, and returns rows bit-identical to an
-    uninterrupted run.  Requires a usable cache directory (the default
-    is fine); see :mod:`repro.flow`.
-    """
-    from .flow.flows import FlowContext, run_sweep_flow
-
-    cache = open_cache(cache_dir, False)
-    ctx = FlowContext(cache=cache, run_id=run_id, policy=policy,
-                      faults=faults)
-    result = run_sweep_flow(plan, flow=ctx, workers=workers,
-                            recorder=recorder)
-    rows = tuple(
-        SweepRow(
-            benchmark=c.benchmark,
-            options_label=c.options_label,
-            machine=c.machine,
-            instructions=c.instructions,
-            base_cycles=c.base_cycles,
-            parallelism=c.parallelism,
-            stalls=c.stalls,
-            status=c.status,
-            error=c.error,
-        )
-        for c in result.cells
-    )
-    assert result.report is not None
-    return SweepResult(rows=rows, engine=result.report)
-
-
-def flow_runs(cache_dir: str | None = None) -> list[str]:
-    """Known flow run ids under a cache directory, oldest first."""
-    from .engine.cache import DEFAULT_CACHE_DIR
-    from .flow.state import list_runs
-
-    return list_runs(cache_dir or DEFAULT_CACHE_DIR)
 
 
 def ledger(path: str | None = None):

@@ -1,13 +1,18 @@
-"""Execute a :class:`~repro.engine.plan.Plan`, serially or across a pool.
+"""Execute a :class:`~repro.engine.plan.Plan`: the one sweep driver.
 
-Cells are grouped by compile unit (equal benchmark + option
-fingerprint): each group compiles/functionally-executes its benchmark
-once — consulting the :class:`~repro.engine.cache.TraceCache` first —
-then replays the trace on every machine in the group.  With
-``workers > 1`` whole groups are fanned across a
-:class:`concurrent.futures.ProcessPoolExecutor`; workers return only
-picklable :class:`CellResult` payloads and the parent reassembles them
-in plan order, so the parallel path is bit-identical to the serial one
+Every plan runs as a workflow DAG (:mod:`repro.flow`): one
+``sweep.cell`` node per plan cell plus a local ``rows`` aggregate.  A
+cell node's fingerprint carries its compilation's trace key, its
+machine's fingerprint, the observe flag and the options label, so an
+edit to one benchmark or one machine preset re-executes only that
+slice of a journaled run.  Each wave's pending cells are grouped by
+compile unit (equal benchmark + option fingerprint): a group compiles
+or functionally executes its benchmark once — consulting the
+:class:`~repro.engine.cache.TraceCache` first — then replays the trace
+on every pending machine in the group.  With ``workers > 1`` whole
+groups are fanned across a process pool; workers return only picklable
+:class:`CellResult` payloads and the parent reassembles them in plan
+order, so the parallel path is bit-identical to the serial one
 (``workers=1``), which runs the exact same group code inline.
 
 Execution is *supervised* (:mod:`repro.engine.resilience`): worker
@@ -19,15 +24,24 @@ being marked failed.  Every cell carries a structured ``status``
 history; ``ok`` cells are bit-identical to an unsupervised clean run.
 Deterministic faults can be injected for testing via
 :mod:`repro.engine.faults` (the ``REPRO_FAULTS`` environment variable).
+
+A run given a ``run_id`` is *journaled*: node checkpoints and the run
+journal persist under ``<cache-dir>/flow/``, a killed run resumes by
+reusing its id, and a rerun restores every node whose inputs did not
+change.  Every other run keeps node values in memory and writes
+nothing beyond the trace cache and memo store.
 """
 
 from __future__ import annotations
 
+import json
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from ..benchmarks import suite
+from ..flow.dag import FlowDag, FlowError, FlowNode
+from ..flow.engine import FlowResult, FlowRunner, flow_event, run_flow
 from ..machine.config import MachineConfig
 from ..obs.metrics import COUNT_BUCKETS, NULL_METRICS, MetricsRegistry
 from ..obs.recorder import Recorder, active_recorder
@@ -46,8 +60,9 @@ from ..sim.replay import BACKEND
 from ..sim.timing import simulate
 from .cache import NULL_TRACE_CACHE, TraceCache, trace_key
 from .faults import NO_FAULTS, FaultPlan
-from .plan import Plan
+from .plan import Cell, Plan
 from .resilience import (
+    CELL_STATUSES,
     NO_LIMITS,
     GroupOutcome,
     ResourceLimits,
@@ -205,6 +220,8 @@ class EngineResult:
     #: per-track resource telemetry summaries (``sample_resources`` runs
     #: only): one dict per track, parent first, workers in merge order
     resources: list[dict] = field(default_factory=list)
+    #: the run's node-level outcome (executed / restored / failed)
+    flow: FlowResult | None = None
 
     def failed_cells(self) -> list[CellResult]:
         """Cells that exhausted the whole degradation ladder."""
@@ -342,12 +359,10 @@ def _run_group_task(payload: tuple):
     existing result round-trip is the only IPC.  With ``sample`` set a
     :class:`~repro.obs.resource.ResourceSampler` additionally records
     this worker's RSS/CPU gauges for the duration of the group and its
-    summary rides home on the same element.  (Older 9-tuple payloads
-    without the flag are accepted for compatibility.)
+    summary rides home on the same element.
     """
     (benchmark, options, machine_cells, observe,
-     cache_root, attempt, faults, limits, traced) = payload[:9]
-    sample = payload[9] if len(payload) > 9 else False
+     cache_root, attempt, faults, limits, traced, sample) = payload
     cache = TraceCache(cache_root) if cache_root else NULL_TRACE_CACHE
     if not traced:
         return _run_group(
@@ -452,35 +467,93 @@ def prime_runs(
     )
 
 
-def _failed_group_cells(
-    plan: Plan, indices: list[int], outcome: GroupOutcome,
-) -> list[tuple[int, CellResult]]:
-    """Placeholder cells for a group that exhausted the whole ladder."""
-    error = outcome.error.as_dict() if outcome.error is not None else None
-    history = tuple(r.as_dict() for r in outcome.history)
-    out = []
-    for index in indices:
-        cell = plan.cells[index]
-        out.append((index, CellResult(
-            benchmark=cell.benchmark,
-            options_label=cell.options_label,
-            machine=cell.machine.name,
-            instructions=0,
-            checksum_ok=False,
-            minor_cycles=0,
-            base_cycles=0.0,
-            parallelism=0.0,
-            stalls=None,
-            seconds=0.0,
-            compile_seconds=0.0,
-            compile_cached=False,
-            replay=None,
-            status="failed",
-            attempts=outcome.attempts,
-            error=error,
-            history=history,
-        )))
-    return out
+def _failed_cell(cell: Cell, outcome: GroupOutcome) -> CellResult:
+    """Placeholder for a cell whose group exhausted the whole ladder."""
+    return CellResult(
+        benchmark=cell.benchmark,
+        options_label=cell.options_label,
+        machine=cell.machine.name,
+        instructions=0,
+        checksum_ok=False,
+        minor_cycles=0,
+        base_cycles=0.0,
+        parallelism=0.0,
+        stalls=None,
+        seconds=0.0,
+        compile_seconds=0.0,
+        compile_cached=False,
+        replay=None,
+        status="failed",
+        attempts=outcome.attempts,
+        error=outcome.error.as_dict() if outcome.error is not None else None,
+        history=tuple(r.as_dict() for r in outcome.history),
+    )
+
+
+def _checkpoint_error(value) -> str | None:
+    """Validate a cell (or ``rows``) value, fresh or restored."""
+    for cell in value if isinstance(value, list) else [value]:
+        if not isinstance(cell, CellResult):
+            return "checkpoint is not a CellResult"
+        if cell.status not in CELL_STATUSES:
+            return f"checkpoint has unknown status {cell.status!r}"
+        if cell.instructions < 0 or cell.minor_cycles < 0:
+            return "checkpoint has negative counters"
+    return None
+
+
+def _rows_node(name: str, cell_nodes: list[str], deps: dict) -> list:
+    """The plan-ordered aggregate of every cell node."""
+    return [deps[n] for n in cell_nodes]
+
+
+_SWEEP_RUNNERS = {
+    "sweep.cell": FlowRunner("sweep.cell", validate=_checkpoint_error),
+    "sweep.rows": FlowRunner("sweep.rows", _rows_node,
+                             validate=_checkpoint_error, local=True),
+}
+
+
+def sweep_dag(plan: Plan) -> FlowDag:
+    """The DAG of ``plan``: one ``sweep.cell`` node per cell, in plan
+    order (payload: the plan index), plus the local ``rows`` aggregate.
+
+    Node fingerprints reuse the repo's content identities —
+    :func:`~repro.engine.cache.trace_key` for the compilation and
+    :meth:`~repro.machine.config.MachineConfig.fingerprint` for the
+    machine — so the trace cache is the compile checkpoint and editing
+    one benchmark or preset invalidates exactly its cells and ``rows``.
+    """
+    keys: dict[int, str] = {}
+    for indices in plan.compile_groups().values():
+        cell0 = plan.cells[indices[0]]
+        key = trace_key(suite.get(cell0.benchmark).source(), cell0.options)
+        keys.update((i, key) for i in indices)
+    dag = FlowDag()
+    for i, cell in enumerate(plan.cells):
+        dag.add(FlowNode(
+            name=f"cell:{i:03d}:{cell.benchmark}@{cell.machine.name}",
+            kind="sweep.cell",
+            fingerprint=json.dumps(
+                [keys[i], repr(cell.machine.fingerprint()), plan.observe,
+                 cell.options_label],
+                separators=(",", ":"),
+            ),
+            payload=i,
+        ))
+    names = list(dag.nodes)
+    dag.add(FlowNode(
+        name="rows",
+        kind="sweep.rows",
+        fingerprint=json.dumps(
+            [[c.benchmark, c.machine.name, c.options_label]
+             for c in plan.cells],
+            separators=(",", ":"),
+        ),
+        deps=tuple(names),
+        payload=names,
+    ))
+    return dag
 
 
 def _merge_resource(acc: dict[str, dict], summary: dict) -> None:
@@ -514,6 +587,8 @@ def execute(
     metrics: MetricsRegistry | None = None,
     progress=None,
     sample_resources: bool = False,
+    run_id: str | None = None,
+    flow_spec: dict | None = None,
 ) -> EngineResult:
     """Execute every cell of ``plan`` and return results in plan order.
 
@@ -531,9 +606,17 @@ def execute(
     the ladder come back with ``status="failed"`` and a typed error
     instead of aborting the run.
 
+    ``run_id`` journals the run under ``<cache>/flow/`` (an enabled
+    cache is required; see :mod:`repro.flow`): reusing the id of a
+    killed run resumes it, and any rerun restores the cells whose
+    inputs did not change.  ``flow_spec`` is recorded in the journal so
+    ``repro resume`` can rebuild the plan.  The report's cache, memo
+    and seconds counters cover only the cells this run executed.
+
     ``recorder`` receives one ``cell`` event per cell (in plan order)
-    and a closing ``engine`` summary event, followed by the run's
-    ``span`` events and one ``metrics`` snapshot.
+    and a closing ``engine`` summary event (plus a ``flow`` event for a
+    journaled run), followed by the run's ``span`` events and one
+    ``metrics`` snapshot.
 
     ``tracer``/``metrics`` opt into span tracing and the metrics
     registry explicitly (pass your own to keep a handle on the merged
@@ -564,25 +647,17 @@ def execute(
     retry_policy = policy if policy is not None else RetryPolicy()
     fault_plan = faults if faults is not None else FaultPlan.from_env()
     disk_cache = cache if cache is not None else NULL_TRACE_CACHE
-    groups = plan.compile_groups()
-    start = time.perf_counter()
-    slots: list[CellResult | None] = [None] * len(plan.cells)
-    hits = misses = 0
-    compile_seconds = 0.0
-    stats = SupervisionStats()
-
-    group_indices = list(groups.values())
-    group_args = [
-        (
-            plan.cells[indices[0]].benchmark,
-            plan.cells[indices[0]].options,
-            [(i, plan.cells[i].machine, plan.cells[i].options_label)
-             for i in indices],
-            plan.observe,
-        )
-        for indices in group_indices
-    ]
+    if run_id is not None and not disk_cache.enabled:
+        raise FlowError("a journaled run requires the trace cache "
+                        "(drop --no-cache)")
+    groups = list(plan.compile_groups().values())
+    group_of = {i: g for g, indices in enumerate(groups) for i in indices}
     group_keys = plan.group_labels()
+    start = time.perf_counter()
+    stats = SupervisionStats()
+    #: outcomes of the groups this run executed, in dispatch order
+    outcomes: list[GroupOutcome] = []
+    failed: dict[int, GroupOutcome] = {}
 
     sampler = (ResourceSampler(mx, track=MAIN_TRACK).start()
                if sample_resources else None)
@@ -598,49 +673,58 @@ def execute(
             tracer=tr, metrics=mx,
         )
 
-    with tr.span("engine.run", cat="engine", workers=workers,
-                 cells=len(plan.cells), groups=len(group_args)):
-        root_id = tr.current_id()
-
-        if workers == 1 or len(group_args) <= 1:
-            outcomes = []
-            for key, base, indices in zip(group_keys, group_args,
-                                          group_indices):
+    def run_groups(work: list[tuple]) -> list[GroupOutcome]:
+        if workers == 1 or len(work) <= 1:
+            settled = []
+            for key, base, indices in work:
                 outcome = run_group_serial(
                     key,
                     lambda attempt, base=base: serial_runner(base, attempt),
                     retry_policy,
-                    expected_indices=set(indices),
+                    expected_indices=indices,
                     tracer=tr,
                 )
                 if progress is not None:
                     progress(key, outcome, len(indices))
-                outcomes.append(outcome)
-        else:
-            cache_root = disk_cache.root if disk_cache.enabled else ""
-            traced = tr.enabled or mx.enabled
+                settled.append(outcome)
+            return settled
+        cache_root = disk_cache.root if disk_cache.enabled else ""
+        traced = tr.enabled or mx.enabled
 
-            def make_payload(base: tuple, attempt: int) -> tuple:
-                return base + (cache_root, attempt, fault_plan,
-                               retry_policy.limits, traced,
-                               sample_resources)
+        def make_payload(base: tuple, attempt: int) -> tuple:
+            return base + (cache_root, attempt, fault_plan,
+                           retry_policy.limits, traced, sample_resources)
 
-            outcomes = run_supervised(
-                [(key, base, set(indices))
-                 for key, base, indices
-                 in zip(group_keys, group_args, group_indices)],
-                workers=workers,
-                task=_run_group_task,
-                make_payload=make_payload,
-                serial_runner=serial_runner,
-                policy=retry_policy,
-                faults=fault_plan,
-                stats=stats,
-                tracer=tr,
-                progress=progress,
-            )
+        return run_supervised(
+            work,
+            workers=workers,
+            task=_run_group_task,
+            make_payload=make_payload,
+            serial_runner=serial_runner,
+            policy=retry_policy,
+            faults=fault_plan,
+            stats=stats,
+            tracer=tr,
+            progress=progress,
+        )
 
-        for indices, outcome in zip(group_indices, outcomes):
+    def dispatch(nodes: list[FlowNode]) -> list[tuple]:
+        """Run the pending cells, one supervised task per compile group."""
+        pending: dict[int, list[int]] = {}
+        for node in nodes:
+            pending.setdefault(group_of[node.payload], []).append(
+                node.payload)
+        work = []
+        for g, indices in pending.items():
+            cell0 = plan.cells[indices[0]]
+            work.append((group_keys[g], (
+                cell0.benchmark, cell0.options,
+                [(i, plan.cells[i].machine, plan.cells[i].options_label)
+                 for i in indices],
+                plan.observe,
+            ), set(indices)))
+        done: dict[int, CellResult] = {}
+        for (_, _, indices), outcome in zip(work, run_groups(work)):
             # Splice worker-buffered spans/metrics into the parent
             # collectors, in plan order (deterministic merge).
             if outcome.obs:
@@ -650,42 +734,59 @@ def execute(
                 summary = outcome.obs.get("resource")
                 if summary:
                     _merge_resource(worker_resources, summary)
+            outcomes.append(outcome)
             if outcome.status == "failed":
-                installed = _failed_group_cells(plan, indices, outcome)
-            else:
-                assert outcome.results is not None
-                installed = outcome.results
-                for _, cell_result in installed:
-                    cell_result.status = outcome.status
-                    cell_result.attempts = outcome.attempts
-                    cell_result.history = tuple(
-                        r.as_dict() for r in outcome.history
-                    )
-                compile_seconds += installed[0][1].compile_seconds
-                if outcome.cached:
-                    hits += 1
-                else:
-                    misses += 1
-            for index, cell_result in installed:
-                slots[index] = cell_result
+                failed.update((i, outcome) for i in indices)
+                continue
+            assert outcome.results is not None
+            history = tuple(r.as_dict() for r in outcome.history)
+            for index, cell_result in outcome.results:
+                cell_result.status = outcome.status
+                cell_result.attempts = outcome.attempts
+                cell_result.history = history
+                done[index] = cell_result
+        return [
+            (done[n.payload], None) if n.payload in done
+            else (None, f"{failed[n.payload].error.kind}: "
+                        f"{failed[n.payload].error.message}")
+            for n in nodes
+        ]
+
+    dag = sweep_dag(plan)
+    with tr.span("engine.run", cat="engine", workers=workers,
+                 cells=len(plan.cells), groups=len(groups)):
+        root_id = tr.current_id()
+        fr = run_flow(
+            dag, _SWEEP_RUNNERS,
+            root=disk_cache.root if run_id is not None else None,
+            flow_kind="sweep",
+            flow_spec=flow_spec,
+            run_id=run_id,
+            dispatch=dispatch,
+            faults=fault_plan,
+        )
 
     resources: list[dict] = []
     if sampler is not None:
         resources.append(sampler.stop())
     resources.extend(worker_resources.values())
 
-    cells = [c for c in slots if c is not None]
-    assert len(cells) == len(plan.cells), "engine lost cell results"
+    names = dag.nodes["rows"].payload
+    cells = [fr.values.get(name) or _failed_cell(plan.cells[i], failed[i])
+             for i, name in enumerate(names)]
+    executed = [c for name, c in zip(names, cells)
+                if fr.statuses[name] == "executed"]
     seconds = time.perf_counter() - start
     report = EngineReport(
         workers=workers,
         cells=len(cells),
         groups=len(groups),
-        cache_hits=hits,
-        cache_misses=misses,
+        cache_hits=sum(o.cached for o in outcomes if o.results),
+        cache_misses=sum(not o.cached for o in outcomes if o.results),
         seconds=seconds,
-        compile_seconds=compile_seconds,
-        sim_seconds=sum(c.seconds for c in cells),
+        compile_seconds=sum(o.results[0][1].compile_seconds
+                            for o in outcomes if o.results),
+        sim_seconds=sum(c.seconds for c in executed),
         ok_cells=sum(1 for c in cells if c.status == "ok"),
         retried_cells=sum(1 for c in cells if c.status == "retried"),
         degraded_cells=sum(1 for c in cells if c.status == "degraded"),
@@ -694,7 +795,7 @@ def execute(
         pool_restarts=stats.pool_restarts,
     )
     report.replay_backend = BACKEND
-    for c in cells:
+    for c in executed:
         if c.replay:
             report.memo_hits += c.replay.get("memo_hits", 0)
             report.memo_misses += c.replay.get("memo_misses", 0)
@@ -719,8 +820,6 @@ def execute(
         mx.incr("engine.group_retries", report.group_retries)
         mx.incr("engine.pool_restarts", report.pool_restarts)
     if rec.enabled:
-        # `cells` is plan-ordered (slots are filled by plan index), so
-        # each result's scheduler comes from the matching plan cell.
         for plan_cell, c in zip(plan.cells, cells):
             event = {
                 "benchmark": c.benchmark,
@@ -747,9 +846,12 @@ def execute(
             rec.emit("cell", **event)
             rec.incr("engine.cells")
         rec.emit("engine", **report.as_dict())
+        if run_id is not None:
+            rec.emit("flow", **flow_event(fr))
         for summary in resources:
             rec.emit("resource", **summary)
         emit_span_events(rec, tr)
         if mx.enabled:
             rec.emit("metrics", **mx.as_dict())
-    return EngineResult(cells=cells, report=report, resources=resources)
+    return EngineResult(cells=cells, report=report, resources=resources,
+                        flow=fr)

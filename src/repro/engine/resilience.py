@@ -328,7 +328,6 @@ def run_group_serial(
     policy: RetryPolicy,
     expected_indices: set[int] | None = None,
     tracer: Tracer = NULL_TRACER,
-    validate=None,
 ) -> GroupOutcome:
     """Attempt one group in-process under the retry ladder.
 
@@ -336,18 +335,13 @@ def run_group_serial(
     ``(results, cached)`` (a trailing observability element is
     tolerated); exceptions are classified and transient ones retried
     with (blocking) backoff.  ``expected_indices`` additionally
-    subjects each payload to the ``validate`` hook — by default
-    :func:`validate_group_payload`; workloads whose results are not
-    CellResult-shaped (the workflow engine's nodes) pass their own
-    ``validate(payload, expected_indices) -> str | None`` — and a
+    subjects each payload to :func:`validate_group_payload`, and a
     corrupt payload counts as a failed transient attempt.  There is no
     separate degradation step — the run is already serial — so
     exhausting the budget means ``failed``.  ``tracer`` receives one
     ``retry.backoff`` span per backoff wait and one ``attempt.failed``
     span per failed attempt.
     """
-    if validate is None:
-        validate = validate_group_payload
     history: list[AttemptRecord] = []
     attempt = 0
     while attempt < policy.max_attempts:
@@ -361,7 +355,8 @@ def run_group_serial(
         else:
             message = None
             if expected_indices is not None:
-                message = validate(payload, expected_indices)
+                message = validate_group_payload(payload,
+                                                 expected_indices)
             elif not (isinstance(payload, tuple)
                       and len(payload) in (2, 3)):
                 message = "group payload has wrong shape"
@@ -451,7 +446,6 @@ def run_supervised(
     stats: SupervisionStats | None = None,
     tracer: Tracer = NULL_TRACER,
     progress=None,
-    validate=None,
 ) -> list[GroupOutcome]:
     """Run compile groups across a supervised process pool.
 
@@ -481,17 +475,10 @@ def run_supervised(
         Optional callable ``progress(group_key, outcome, n_cells)``
         invoked as each group settles (drives the ``--live`` progress
         line).
-    validate:
-        ``validate(payload, expected_indices) -> str | None`` replaces
-        the default :func:`validate_group_payload` structural check for
-        workloads whose results are not CellResult-shaped (the workflow
-        engine's nodes).
 
     Returns one :class:`GroupOutcome` per input group, in input order.
     """
     del faults  # faults travel inside make_payload; kept for signature clarity
-    if validate is None:
-        validate = validate_group_payload
     stats = stats if stats is not None else SupervisionStats()
     states = [_Group(i, key, base, set(indices))
               for i, (key, base, indices) in enumerate(groups)]
@@ -530,7 +517,7 @@ def run_supervised(
                 final = CellError(classify_exception(exc), str(exc),
                                   attempt, "serial")
             else:
-                message = validate(payload, group.indices)
+                message = validate_group_payload(payload, group.indices)
                 if message is None:
                     results, cached, obs = split_group_payload(payload)
                     finish(group, GroupOutcome(
@@ -655,7 +642,7 @@ def run_supervised(
                         group.attempts, "worker",
                     ), seconds)
                     continue
-                message = validate(payload, group.indices)
+                message = validate_group_payload(payload, group.indices)
                 if message is not None:
                     dispose_failure(group, CellError(
                         "corrupt", message, group.attempts, "worker",

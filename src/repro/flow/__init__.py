@@ -1,13 +1,15 @@
 """Declarative, crash-resumable workflow DAGs (``repro.flow``).
 
-The flow layer turns the repo's drivers — sweeps, suite reports,
-exhibit priming — into explicit DAGs of content-fingerprinted nodes
-(:mod:`~repro.flow.dag`), executes them through the resilient engine
-substrate (:mod:`~repro.flow.engine`), and persists every completed
-node to a content-addressed state store alongside an append-only,
-fsynced run journal (:mod:`~repro.flow.state`).
+The flow layer is the engine under the sweep executor:
+:func:`repro.engine.executor.execute` builds every plan into a DAG of
+content-fingerprinted nodes (:mod:`~repro.flow.dag`) and runs it in
+waves through :func:`~repro.flow.engine.run_flow`.  A *journaled* run — ``suite
+--flow``, ``--run-id``, ``repro resume`` — also persists every
+completed node to a content-addressed state store alongside an
+append-only, fsynced run journal (:mod:`~repro.flow.state`); every
+other run keeps node values in memory and writes nothing.
 
-Kill the process at *any* node boundary — ``kill -9``, a ``kill@N``
+Kill a journaled run at *any* node boundary — ``kill -9``, a ``kill@N``
 fault spec, a power cut — and ``repro resume <run-id>`` replays the
 journal, verifies the surviving checkpoints, re-executes only the
 nodes that never completed (or whose checkpoints were torn mid-write),
@@ -22,20 +24,9 @@ from .engine import (
     NODE_STATUSES,
     FlowResult,
     FlowRunner,
+    flow_event,
     journal_completed,
     run_flow,
-    verify_journal,
-)
-from .flows import (
-    PRIME_RUNNERS,
-    REPORT_RUNNERS,
-    SWEEP_RUNNERS,
-    FlowContext,
-    flow_event,
-    prime_flow,
-    report_flow,
-    run_sweep_flow,
-    sweep_flow,
 )
 from .state import (
     JOURNAL_VERSION,
@@ -45,7 +36,6 @@ from .state import (
     JournalError,
     flow_root,
     journal_path,
-    list_runs,
     new_run_id,
     read_journal,
     runs_dir,
@@ -53,7 +43,6 @@ from .state import (
 )
 
 __all__ = [
-    "FlowContext",
     "FlowDag",
     "FlowError",
     "FlowNode",
@@ -64,23 +53,14 @@ __all__ = [
     "Journal",
     "JournalError",
     "NODE_STATUSES",
-    "PRIME_RUNNERS",
-    "REPORT_RUNNERS",
     "STATE_FORMAT",
-    "SWEEP_RUNNERS",
     "flow_event",
     "flow_root",
     "journal_completed",
     "journal_path",
-    "list_runs",
     "new_run_id",
-    "prime_flow",
     "read_journal",
-    "report_flow",
     "run_flow",
-    "run_sweep_flow",
     "runs_dir",
     "state_dir",
-    "sweep_flow",
-    "verify_journal",
 ]

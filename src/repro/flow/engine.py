@@ -1,15 +1,17 @@
-"""Topological flow execution over the resilient engine substrate.
+"""Topological flow execution with checkpoints and a run journal.
 
 :func:`run_flow` executes a :class:`~repro.flow.dag.FlowDag` in
 deterministic waves: every node whose dependencies have settled is
 *restored* from its content-addressed checkpoint when one verifies, and
-otherwise dispatched — through the existing supervised pool
-(:func:`repro.engine.resilience.run_supervised`) or its serial twin —
-so flow nodes inherit the whole retry/backoff/degradation ladder that
-PR 5 built for sweep cells.  Aggregation nodes (``FlowRunner.local``)
-run inline in the parent, after their inputs settle.
+otherwise executed.  A wave's non-local nodes go to the caller's
+``dispatch`` callable in one batch, so the caller decides how work is
+grouped and supervised (the sweep executor ships each compile group's
+cells as one task through :mod:`repro.engine.resilience`).  Aggregation
+nodes (``FlowRunner.local``) run inline in the parent, after their
+inputs settle.
 
-Durability contract, per completed node, in order:
+A run with a state ``root`` is *journaled*; per completed node, in
+order:
 
 1. the checkpoint is written to the state store (atomic, fsynced);
 2. ``node_done`` is appended to the run journal (fsynced);
@@ -20,7 +22,8 @@ checkpoint still restores on resume.  A ``torn-write`` fault truncates
 the checkpoint *after* (1), modelling a crash mid-write: the journal
 then over-claims, and resume's validation drops the torn entry and
 recomputes the node.  Either way a resumed run's values are
-bit-identical to an uninterrupted run's.
+bit-identical to an uninterrupted run's.  Without a root, node values
+live only in memory: nothing is restored and nothing is written.
 
 Node completion **ordinals** (1-based, executed nodes only, in wave
 order) are the deterministic sites ``kill@N`` / ``torn-write@N`` fault
@@ -30,27 +33,19 @@ cannot re-kill itself at the boundary that killed its predecessor.
 
 from __future__ import annotations
 
+import os
 import time
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from ..engine.faults import NO_FAULTS, FaultPlan
-from ..engine.resilience import (
-    RetryPolicy,
-    SupervisionStats,
-    run_group_serial,
-    run_supervised,
-)
-from ..obs.trace import NULL_TRACER, Tracer
-from .dag import FlowDag, FlowError
+from .dag import FlowDag, FlowError, FlowNode
 from .state import (
     JOURNAL_VERSION,
     FlowStateStore,
     Journal,
-    JournalError,
     journal_path,
     new_run_id,
-    read_journal,
     state_dir,
 )
 
@@ -62,20 +57,18 @@ NODE_STATUSES = ("executed", "restored", "failed", "skipped")
 class FlowRunner:
     """How one node *kind* executes.
 
-    ``func(name, payload, deps) -> value`` does the work; it must be a
-    module-level (picklable) callable when the flow may run with
-    ``workers > 1``.  ``validate(value) -> str | None`` guards both
-    fresh results and restored checkpoints — a message fails/recomputes
-    the node.  ``local`` runs the node inline in the parent (aggregates
-    over sibling values); ``allow_failed`` passes failed/skipped
-    dependencies through as ``None`` instead of skipping the node.
+    ``func(name, payload, deps) -> value`` does the work of one node
+    (``None`` for kinds only the run's ``dispatch`` executes).
+    ``validate(value) -> str | None`` guards both fresh results and
+    restored checkpoints — a message fails/recomputes the node.
+    ``local`` runs the node inline in the parent after its wave's
+    dispatched nodes (aggregates over sibling values).
     """
 
     kind: str
-    func: Callable[[str, Any, dict], Any]
+    func: Callable[[str, Any, dict], Any] | None = None
     validate: Callable[[Any], str | None] | None = None
     local: bool = False
-    allow_failed: bool = False
 
 
 @dataclass(slots=True)
@@ -106,53 +99,57 @@ class FlowResult:
         return text + f" of {len(self.statuses)} nodes"
 
 
-def _flow_node_task(payload: tuple):
-    """Pool entry point: run one flow node's function.
+def flow_event(fr: FlowResult) -> dict:
+    """The ``flow`` recorder-event payload for one flow result."""
+    return {
+        "run_id": fr.run_id,
+        "dag_signature": fr.dag_signature,
+        "nodes": len(fr.statuses),
+        "executed": len(fr.executed),
+        "restored": len(fr.restored),
+        "failed": len(fr.failed),
+        "seconds": fr.seconds,
+    }
 
-    The runner function travels inside the payload (picklable by
-    qualified name), so workers need no registry.
-    """
-    func, name, node_payload, deps, _attempt = payload
-    value = func(name, node_payload, deps)
-    return ([(0, value)], False)
+
+class _Ephemeral:
+    """State store and journal of an unjournaled run: holds nothing."""
+
+    def load(self, signature: str) -> None:
+        return None
+
+    def store(self, signature: str, node: str, kind: str,
+              value: object) -> str:
+        return ""
+
+    def reject(self, signature: str) -> None:
+        pass
+
+    def append(self, event: dict) -> None:
+        pass
+
+    def close(self) -> None:
+        pass
 
 
-def _validate_node_payload(payload, expected_indices: set[int]) -> str | None:
-    """Structural check for a flow node's group payload.
-
-    Unlike :func:`~repro.engine.resilience.validate_group_payload` this
-    accepts arbitrary node values — value-level validation is the
-    runner's job, applied in the parent.
-    """
-    if not (isinstance(payload, tuple) and len(payload) in (2, 3)):
-        return "flow payload has wrong shape"
-    results = payload[0]
-    if not isinstance(results, list):
-        return "flow payload results is not a list"
-    seen: set[int] = set()
-    for item in results:
-        if not (isinstance(item, tuple) and len(item) == 2
-                and isinstance(item[0], int)):
-            return "flow payload result item malformed"
-        seen.add(item[0])
-    if seen != expected_indices:
-        return (f"flow payload produced indices {sorted(seen)}, "
-                f"expected {sorted(expected_indices)}")
-    return None
+def _run_inline(runner: FlowRunner, node: FlowNode,
+                deps: dict) -> tuple[Any, str | None]:
+    try:
+        return runner.func(node.name, node.payload, deps), None
+    except Exception as exc:
+        return None, f"{type(exc).__name__}: {exc}"
 
 
 def run_flow(
     dag: FlowDag,
     runners: dict[str, FlowRunner],
     *,
-    root: str,
+    root: str | None = None,
     flow_kind: str = "custom",
     flow_spec: dict | None = None,
     run_id: str | None = None,
-    workers: int = 1,
-    policy: RetryPolicy | None = None,
+    dispatch: Callable[[list[FlowNode]], list[tuple]] | None = None,
     faults: FaultPlan | None = None,
-    tracer: Tracer | None = None,
     kill_action=None,
 ) -> FlowResult:
     """Execute ``dag``, journaling to ``<root>/flow/runs/<run_id>``.
@@ -161,17 +158,16 @@ def run_flow(
     checkpoints verify against the current signatures are restored, and
     only the rest execute.  A fresh run against a warm state store gets
     the same treatment — that is the incremental-recompute path (edit
-    one benchmark, re-run, only its downstream slice executes).
+    one benchmark, re-run, only its downstream slice executes).  With
+    ``root=None`` the run is unjournaled: every node executes and
+    nothing touches the disk.
 
-    ``workers > 1`` dispatches each wave's non-local ready nodes
-    through the supervised pool; ``kill_action(node, ordinal)``
-    replaces the genuine SIGKILL for in-process tests.
+    ``dispatch(nodes)`` executes each wave's non-local ready nodes and
+    returns one ``(value, error message or None)`` pair per node, in
+    order; without it they run inline through their runner's ``func``.
+    ``kill_action(node, ordinal)`` replaces the genuine SIGKILL for
+    in-process tests.
     """
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
-    if not root:
-        raise FlowError("flow execution requires a state root "
-                        "(an enabled cache directory)")
     dag.validate()
     for node in dag.nodes.values():
         if node.kind not in runners:
@@ -179,28 +175,26 @@ def run_flow(
                 f"no runner registered for node kind {node.kind!r} "
                 f"(node {node.name!r})"
             )
-    tr = tracer if tracer is not None else NULL_TRACER
-    retry_policy = policy if policy is not None else RetryPolicy()
     fault_plan = faults if faults is not None else NO_FAULTS
     sigs = dag.signatures()
-    order = dag.topological_order()
-    store = FlowStateStore(state_dir(root))
-    rid = run_id or new_run_id()
-    jpath = journal_path(root, rid)
-    import os
-
-    resuming = os.path.exists(jpath)
     start = time.perf_counter()
-    result = FlowResult(run_id=rid, dag_signature=dag.dag_signature(),
-                        journal_path=jpath)
-
-    journal = Journal(jpath)
+    result = FlowResult(run_id=run_id or "",
+                        dag_signature=dag.dag_signature())
+    if root:
+        result.run_id = run_id or new_run_id()
+        result.journal_path = journal_path(root, result.run_id)
+        resuming = os.path.exists(result.journal_path)
+        store = FlowStateStore(state_dir(root))
+        journal = Journal(result.journal_path)
+    else:
+        resuming = False
+        store = journal = _Ephemeral()
     try:
         if not resuming:
             journal.append({
                 "event": "flow_start",
                 "version": JOURNAL_VERSION,
-                "run_id": rid,
+                "run_id": result.run_id,
                 "flow": {"kind": flow_kind, "spec": flow_spec},
                 "dag_signature": result.dag_signature,
                 "nodes": len(dag),
@@ -208,18 +202,15 @@ def run_flow(
         else:
             journal.append({
                 "event": "flow_resume",
-                "run_id": rid,
+                "run_id": result.run_id,
                 "dag_signature": result.dag_signature,
             })
-        with tr.span("flow.run", cat="flow", run_id=rid,
-                     nodes=len(dag), workers=workers):
-            _run_nodes(dag, runners, order, sigs, store, journal,
-                       result, workers=workers, policy=retry_policy,
-                       faults=fault_plan, tracer=tr,
-                       kill_action=kill_action)
+        _run_nodes(dag, runners, sigs, store, journal, result,
+                   dispatch=dispatch, faults=fault_plan,
+                   kill_action=kill_action)
         journal.append({
             "event": "flow_end",
-            "run_id": rid,
+            "run_id": result.run_id,
             "executed": len(result.executed),
             "restored": len(result.restored),
             "failed": len(result.failed),
@@ -230,9 +221,10 @@ def run_flow(
     return result
 
 
-def _run_nodes(dag, runners, order, sigs, store, journal, result, *,
-               workers, policy, faults, tracer, kill_action) -> None:
+def _run_nodes(dag, runners, sigs, store, journal, result, *,
+               dispatch, faults, kill_action) -> None:
     """The wave loop: restore, dispatch, commit, repeat."""
+    order = dag.topological_order()
     ordinal = 0  # executed-node completion count (the fault site index)
 
     def record(name: str, status: str, error: str | None = None) -> None:
@@ -262,6 +254,15 @@ def _run_nodes(dag, runners, order, sigs, store, journal, result, *,
         result.failed[name] = message
         record(name, status, error=message)
 
+    def settle(name: str, value, error: str | None) -> None:
+        if error is None:
+            validate = runners[dag.nodes[name].kind].validate
+            error = validate(value) if validate is not None else None
+        if error is not None:
+            fail(name, error)
+        else:
+            commit(name, value)
+
     def deps_for(node) -> dict:
         return {d: result.values.get(d) for d in node.deps}
 
@@ -274,10 +275,9 @@ def _run_nodes(dag, runners, order, sigs, store, journal, result, *,
             node = dag.nodes[name]
             if any(d not in result.statuses for d in node.deps):
                 continue
-            runner = runners[node.kind]
             bad = [d for d in node.deps
                    if result.statuses[d] in ("failed", "skipped")]
-            if bad and not runner.allow_failed:
+            if bad:
                 fail(name, f"dependency {bad[0]} "
                            f"{result.statuses[bad[0]]}",
                      status="skipped")
@@ -285,118 +285,44 @@ def _run_nodes(dag, runners, order, sigs, store, journal, result, *,
             ready.append(name)
 
         # Restoration pass: a verifying checkpoint short-circuits work.
-        to_run: list[str] = []
+        to_run: list[FlowNode] = []
         for name in ready:
             node = dag.nodes[name]
-            runner = runners[node.kind]
+            validate = runners[node.kind].validate
             payload = store.load(sigs[name])
             if payload is not None:
                 value = payload["value"]
-                message = (runner.validate(value)
-                           if runner.validate is not None else None)
-                if message is None:
+                if validate is None or validate(value) is None:
                     result.values[name] = value
                     result.statuses[name] = "restored"
                     result.restored.append(name)
                     record(name, "restored")
                     continue
                 store.reject(sigs[name])
-            to_run.append(name)
+            to_run.append(node)
 
-        pooled = [n for n in to_run
-                  if not runners[dag.nodes[n].kind].local]
-        local = [n for n in to_run
-                 if runners[dag.nodes[n].kind].local]
-
-        if pooled:
-            _dispatch_wave(dag, runners, pooled, deps_for,
-                           commit, fail, workers=workers, policy=policy,
-                           tracer=tracer)
-        for name in local:
-            node = dag.nodes[name]
-            runner = runners[node.kind]
-            with tracer.span("flow.node", cat="flow", node=name,
-                             kind=node.kind, where="local"):
-                try:
-                    value = runner.func(name, node.payload,
-                                        deps_for(node))
-                except Exception as exc:
-                    fail(name, f"{type(exc).__name__}: {exc}")
-                    continue
-            message = (runner.validate(value)
-                       if runner.validate is not None else None)
-            if message is not None:
-                fail(name, message)
-                continue
-            commit(name, value)
+        batch = [n for n in to_run if not runners[n.kind].local]
+        if batch:
+            if dispatch is not None:
+                outcomes = dispatch(batch)
+            else:
+                outcomes = [_run_inline(runners[n.kind], n, deps_for(n))
+                            for n in batch]
+            # Commit in wave order regardless of completion order, so
+            # checkpoint/journal/kill ordinals stay deterministic.
+            for node, (value, error) in zip(batch, outcomes):
+                settle(node.name, value, error)
+        for node in to_run:
+            if runners[node.kind].local:
+                settle(node.name,
+                       *_run_inline(runners[node.kind], node,
+                                    deps_for(node)))
 
         if len(result.statuses) == settled_before:
             # Defensive: validate() precludes cycles, so this means a
             # runner mutated the dag mid-run.
             stuck = [n for n in order if n not in result.statuses]
             raise FlowError(f"flow stalled with nodes {stuck!r} unsettled")
-
-
-def _dispatch_wave(dag, runners, names, deps_for, commit, fail, *,
-                   workers, policy, tracer) -> None:
-    """Run one wave's pool-eligible nodes through the resilient engine.
-
-    Outcomes are committed in input (wave) order regardless of
-    completion order, so checkpoint/journal/kill ordinals stay
-    deterministic under any worker interleaving.
-    """
-    bases = []
-    for name in names:
-        node = dag.nodes[name]
-        runner = runners[node.kind]
-        bases.append((runner.func, name, node.payload, deps_for(node)))
-
-    if workers == 1 or len(names) == 1:
-        outcomes = []
-        for name, base in zip(names, bases):
-            with tracer.span("flow.node", cat="flow", node=name,
-                             kind=dag.nodes[name].kind, where="serial"):
-                outcome = run_group_serial(
-                    name,
-                    lambda attempt, base=base: _flow_node_task(
-                        base + (attempt,)),
-                    policy,
-                    expected_indices={0},
-                    tracer=tracer,
-                    validate=_validate_node_payload,
-                )
-            outcomes.append(outcome)
-    else:
-        stats = SupervisionStats()
-        outcomes = run_supervised(
-            [(name, base, {0}) for name, base in zip(names, bases)],
-            workers=workers,
-            task=_flow_node_task,
-            make_payload=lambda base, attempt: base + (attempt,),
-            serial_runner=lambda base, attempt: _flow_node_task(
-                base + (attempt,)),
-            policy=policy,
-            stats=stats,
-            tracer=tracer,
-            validate=_validate_node_payload,
-        )
-
-    for name, outcome in zip(names, outcomes):
-        if outcome.status == "failed":
-            error = outcome.error
-            message = (f"{error.kind}: {error.message}"
-                       if error is not None else "node failed")
-            fail(name, message)
-            continue
-        assert outcome.results is not None
-        value = outcome.results[0][1]
-        runner = runners[dag.nodes[name].kind]
-        message = (runner.validate(value)
-                   if runner.validate is not None else None)
-        if message is not None:
-            fail(name, message)
-            continue
-        commit(name, value)
 
 
 def journal_completed(events: list[dict]) -> dict[str, str]:
@@ -413,28 +339,3 @@ def journal_completed(events: list[dict]) -> dict[str, str]:
         if isinstance(sig, str):
             done[sig] = str(event.get("status", "?"))
     return done
-
-
-def verify_journal(events: list[dict], dag: FlowDag,
-                   root: str) -> dict[str, str]:
-    """Cross-check a journal against the current DAG and state store.
-
-    Returns ``node name -> "restorable" | "stale" | "missing"`` — a
-    preview of what resume will restore vs recompute.  ``stale`` means
-    the journaled signature no longer matches (inputs changed);
-    ``missing`` means the signature matches but no valid checkpoint
-    survives (e.g. a torn write).
-    """
-    done = journal_completed(events)
-    store = FlowStateStore(state_dir(root))
-    sigs = dag.signatures()
-    out: dict[str, str] = {}
-    for name, sig in sigs.items():
-        status = done.get(sig)
-        if status not in ("executed", "restored"):
-            out[name] = "stale"
-        elif store.load(sig) is not None:
-            out[name] = "restorable"
-        else:
-            out[name] = "missing"
-    return out

@@ -73,15 +73,6 @@ def new_run_id() -> str:
     return f"{stamp}-{secrets.token_hex(3)}"
 
 
-def list_runs(root: str) -> list[str]:
-    """Known run ids under ``root``, oldest first."""
-    try:
-        names = sorted(os.listdir(runs_dir(root)))
-    except OSError:
-        return []
-    return [n[:-len(".jsonl")] for n in names if n.endswith(".jsonl")]
-
-
 class FlowStateStore:
     """Content-addressed node checkpoints rooted at one directory."""
 

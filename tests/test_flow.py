@@ -9,17 +9,17 @@ import signal
 
 import pytest
 
+from repro.engine.executor import execute
 from repro.flow import (
-    FlowContext,
     FlowDag,
     FlowError,
     FlowNode,
     FlowRunner,
     FlowStateStore,
     journal_path,
+    new_run_id,
     read_journal,
     run_flow,
-    run_sweep_flow,
     state_dir,
 )
 from repro.flow.state import JournalError
@@ -365,16 +365,16 @@ class TestJournalErrors:
 
 
 # ---------------------------------------------------------------------------
-# The sweep flow against the real engine (acceptance: incremental slice)
+# Journaled sweeps through the executor (acceptance: incremental slice)
 # ---------------------------------------------------------------------------
 
 
 def _sweep(plan, cache_dir, **kwargs):
     from repro.engine.cache import TraceCache
 
-    flow = FlowContext(cache=TraceCache(str(cache_dir)), **kwargs)
-    result = run_sweep_flow(plan, flow=flow)
-    return result, flow.result
+    kwargs.setdefault("run_id", new_run_id())
+    result = execute(plan, cache=TraceCache(str(cache_dir)), **kwargs)
+    return result, result.flow
 
 
 class TestSweepFlowIncremental:
@@ -385,12 +385,12 @@ class TestSweepFlowIncremental:
         s4, s8 = resolve("superscalar:2"), resolve("superscalar:4")
         plan1 = plan_sweep(["whet"], [s4, s8])
         result1, fr1 = _sweep(plan1, tmp_path)
-        # 1 compile + 2 cells + rows, all cold.
-        assert len(fr1.executed) == 4 and not fr1.restored
+        # 2 cells + rows, all cold.
+        assert len(fr1.executed) == 3 and not fr1.restored
 
         # Same plan again: everything restores.
         _, fr2 = _sweep(plan1, tmp_path)
-        assert not fr2.executed and len(fr2.restored) == 4
+        assert not fr2.executed and len(fr2.restored) == 3
 
         # Swap one machine preset: only its cells (and the rows
         # aggregate downstream of them) re-run.
@@ -399,7 +399,7 @@ class TestSweepFlowIncremental:
         assert sorted(n.split(":")[0] for n in fr3.executed) \
             == ["cell", "rows"]
         assert any("superpipelined-2" in n for n in fr3.executed)
-        assert len(fr3.restored) == 2  # the compile + the s4 cell
+        assert len(fr3.restored) == 1  # the s4 cell
         assert all("superpipelined-2" not in n for n in fr3.restored)
         cells = {c.machine: c for c in result3.cells}
         assert cells[s4.name].parallelism \
@@ -413,10 +413,10 @@ class TestSweepFlowIncremental:
         machine = resolve("superscalar:4")
         plan1 = plan_sweep(["linpack", "whet"], [machine])
         _, fr1 = _sweep(plan1, tmp_path)
-        assert len(fr1.executed) == 5  # 2 compiles + 2 cells + rows
+        assert len(fr1.executed) == 3  # 2 cells + rows
 
         # Change one benchmark's compile options (stands in for editing
-        # its source: the compile fingerprint is the trace key over
+        # its source: the cell fingerprint carries the trace key over
         # source + options).
         cells = [
             dataclasses.replace(
@@ -431,11 +431,10 @@ class TestSweepFlowIncremental:
         executed = sorted(fr2.executed)
         assert "rows" in executed
         assert all("whet" in n or n == "rows" for n in executed)
-        assert len(executed) == 3  # whet compile + whet cell + rows
-        assert sum("linpack" in n for n in fr2.restored) == 2
+        assert len(executed) == 2  # whet cell + rows
+        assert sum("linpack" in n for n in fr2.restored) == 1
 
     def test_flow_rows_match_classic_executor(self, tmp_path):
-        from repro.engine.executor import execute
         from repro.engine.plan import plan_sweep
         from repro.machine.presets import resolve
 
@@ -555,8 +554,7 @@ class TestFlowEventSchema:
         errors = check_event(bad)
         assert any("conservation" in e or "nodes" in e for e in errors)
 
-    def test_flow_report_passes_full_schema_check(self, tmp_path):
-        from repro.engine.cache import TraceCache
+    def test_flow_report_passes_full_schema_check(self, tmp_path, cli):
         from repro.engine.plan import plan_sweep
         from repro.machine.presets import resolve
         from repro.obs.recorder import JsonlRecorder
@@ -568,7 +566,57 @@ class TestFlowEventSchema:
         with JsonlRecorder(str(path)) as rec:
             rec.emit("run_start", schema=SCHEMA_VERSION, run_id="t",
                      machines=["superscalar-4"])
-            flow = FlowContext(cache=TraceCache(str(tmp_path / "c")))
-            run_sweep_flow(plan, flow=flow, recorder=rec)
+            _sweep(plan, tmp_path / "c", recorder=rec)
             rec.emit("run_end", seconds=0.0, counters=dict(rec.counters))
         assert check_file(str(path)) == []
+        kinds = [json.loads(line)["event"]
+                 for line in path.read_text().splitlines()]
+        assert "flow" in kinds and "metrics" in kinds
+        assert "span" in kinds
+        code, out, _ = cli("trace", str(path))
+        assert code == 0 and "self-profile" in out
+
+
+class TestJournaledSuiteCli:
+    """``suite --flow`` is the plain suite run plus durability."""
+
+    ARGS = ("suite", "--benchmarks", "whet", "--machines", "base")
+
+    def test_unrecoverable_fault_exits_nonzero(self, cli, tmp_path):
+        code, _, err = cli(*self.ARGS, "--flow",
+                           "--cache-dir", str(tmp_path),
+                           "--faults", "error@whet", "--retries", "1")
+        assert code == 1
+        assert "FAILED 1 cell(s)" in err
+
+    def test_env_kill_fault_kills_flow_run(self, tmp_path):
+        import subprocess
+        import sys
+
+        src = os.path.join(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))), "src")
+        env = dict(os.environ, PYTHONPATH=src, REPRO_FAULTS="kill@1")
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", *self.ARGS, "--flow",
+             "--cache-dir", str(tmp_path), "--run-id", "killed"],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode in (-signal.SIGKILL, 128 + signal.SIGKILL)
+        events = read_journal(journal_path(str(tmp_path), "killed"))
+        done = [e["node"] for e in events if e["event"] == "node_done"]
+        assert len(done) == 1
+
+    def test_restored_rerun_counts_no_work(self, cli, tmp_path):
+        args = (*self.ARGS, "--flow", "--cache-dir", str(tmp_path))
+        code, out, _ = cli(*args)
+        assert code == 0 and "2 executed / 0 restored" in out
+        code, out, _ = cli(*args)
+        assert code == 0
+        assert "cache 0 hit / 0 miss" in out
+        assert "replay memo" not in out
+        assert "0 executed / 2 restored of 2 nodes" in out
+
+    def test_plain_run_writes_no_flow_state(self, cli, tmp_path):
+        code, out, _ = cli(*self.ARGS, "--cache-dir", str(tmp_path))
+        assert code == 0 and "flow" not in out
+        assert not (tmp_path / "flow").exists()
